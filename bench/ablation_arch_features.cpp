@@ -66,7 +66,7 @@ readShareUs(wl::SweepMode sweep, const std::string &key,
     auto &sys = wl::warmFixture<os::K2System>(sweep, key, [&mk] {
         os::K2Config cfg = mk();
         cfg.soc.costs.inactiveTimeout = 0;
-        cfg.dsmProtocol = os::Dsm::Protocol::ThreeState;
+        cfg.dsmProtocol = os::coherence::ProtocolKind::ThreeState;
         return std::make_unique<os::K2System>(std::move(cfg));
     });
     auto &proc = sys.createProcess("bench");

@@ -27,7 +27,7 @@
 #include <vector>
 
 #include "os/coherence/protocol.h"
-#include "os/ndsm.h"
+#include "workloads/dsm_rig.h"
 #include "workloads/report.h"
 #include "workloads/sweep.h"
 #include "workloads/warm.h"
@@ -35,74 +35,6 @@
 namespace {
 
 using namespace k2;
-using kern::Thread;
-using kern::ThreadKind;
-using sim::Task;
-
-/** An N-domain SoC + kernels + NDsm under one protocol. */
-struct Fixture
-{
-    sim::Engine eng;
-    std::unique_ptr<soc::Soc> soc;
-    std::vector<std::unique_ptr<kern::Kernel>> kernels;
-    std::unique_ptr<os::NDsm> ndsm;
-    std::unique_ptr<kern::Process> proc;
-
-    Fixture(std::size_t domains, os::coherence::ProtocolKind proto)
-    {
-        soc::SocConfig cfg = (domains >= 3) ? soc::threeDomainConfig()
-                                            : soc::omap4Config();
-        // §11: "more, but not many" domains -- grow past three by
-        // cloning the weak (Cortex-M3) domain spec.
-        while (cfg.domains.size() < domains) {
-            soc::DomainSpec spec = cfg.domains[soc::kWeakDomain];
-            spec.name =
-                "weak" + std::to_string(cfg.domains.size() - 1);
-            cfg.domains.push_back(spec);
-        }
-        cfg.costs.inactiveTimeout = 0;
-        soc = std::make_unique<soc::Soc>(eng, cfg);
-        std::vector<kern::Kernel *> raw;
-        for (soc::DomainId d = 0; d < domains; ++d) {
-            kernels.push_back(std::make_unique<kern::Kernel>(
-                *soc, d, "k" + std::to_string(d)));
-            kernels.back()->boot();
-            raw.push_back(kernels.back().get());
-        }
-        ndsm = std::make_unique<os::NDsm>(*soc, raw, 4096, proto);
-        for (std::size_t i = 0; i < kernels.size(); ++i) {
-            kernels[i]->setMailHandler(
-                [this, i](soc::Mail m, soc::Core &c) {
-                    return ndsm->handleMail(i, m, c);
-                });
-        }
-        proc = std::make_unique<kern::Process>(1, "bench");
-    }
-
-    sim::Engine &engine() { return eng; }
-
-    void
-    snapState(snap::Io &io)
-    {
-        eng.snapState(io);
-        soc->snapState(io);
-        for (auto &k : kernels)
-            k->snapState(io);
-        ndsm->snapState(io);
-        proc->snapState(io);
-    }
-
-    void
-    touch(std::size_t k, std::uint64_t page, os::Access rw)
-    {
-        kernels[k]->spawnThread(
-            proc.get(), "t", ThreadKind::Normal,
-            [this, k, page, rw](Thread &t) -> Task<void> {
-                co_await ndsm->access(t.kernel(), t.core(), page, rw);
-            });
-        eng.run();
-    }
-};
 
 /** One (kernel, page, read|write) step of a sharing pattern. */
 struct Step
@@ -203,12 +135,12 @@ runCell(wl::SweepMode sweep, os::coherence::ProtocolKind proto,
     const std::string key =
         std::string("nd:") + os::coherence::protocolName(proto) + ":" +
         std::to_string(domains);
-    auto &fx = wl::warmFixture<Fixture>(
+    auto &fx = wl::warmFixture<wl::DsmRig>(
         sweep, key, [domains, proto] {
-            return std::make_unique<Fixture>(domains, proto);
+            return std::make_unique<wl::DsmRig>(domains, proto);
         });
 
-    const std::uint64_t msgs0 = fx.ndsm->messagesSent();
+    const std::uint64_t msgs0 = fx.dsm->messagesSent();
     const soc::EnergyMeter::Snapshot e0 = fx.soc->meter().snapshot();
     for (const Step &st : pattern.steps(domains))
         fx.touch(st.kernel, st.page, st.rw);
@@ -217,10 +149,10 @@ runCell(wl::SweepMode sweep, os::coherence::ProtocolKind proto,
     double total = 0, entry = 0, proto_t = 0, comm = 0, service = 0,
            exit_t = 0;
     for (std::size_t k = 0; k < domains; ++k) {
-        const os::NDsm::Stats &st = fx.ndsm->kernelStats(k);
+        const os::Dsm::FaultStats &st = fx.dsm->faultStats(k);
         out.faults += st.faults.value();
         total += st.totalUs.sum();
-        entry += st.entryUs.sum();
+        entry += st.localFaultUs.sum();
         proto_t += st.protocolUs.sum();
         comm += st.commUs.sum();
         service += st.serviceUs.sum();
@@ -235,7 +167,7 @@ runCell(wl::SweepMode sweep, os::coherence::ProtocolKind proto,
         out.service_us = service / f;
         out.exit_us = exit_t / f;
         out.msgs_per_fault =
-            static_cast<double>(fx.ndsm->messagesSent() - msgs0) / f;
+            static_cast<double>(fx.dsm->messagesSent() - msgs0) / f;
     }
 }
 

@@ -14,76 +14,12 @@
 #include <string>
 
 #include "os/coherence/protocol.h"
-#include "os/ndsm.h"
+#include "workloads/dsm_rig.h"
 #include "workloads/report.h"
 #include "workloads/sweep.h"
 #include "workloads/warm.h"
 
-namespace {
-
 using namespace k2;
-using kern::Thread;
-using kern::ThreadKind;
-using sim::Task;
-
-struct Fixture
-{
-    sim::Engine eng;
-    std::unique_ptr<soc::Soc> soc;
-    std::vector<std::unique_ptr<kern::Kernel>> kernels;
-    std::unique_ptr<os::NDsm> ndsm;
-    std::unique_ptr<kern::Process> proc;
-
-    Fixture(std::size_t domains, os::coherence::ProtocolKind dsm)
-    {
-        auto cfg = (domains == 3) ? soc::threeDomainConfig()
-                                  : soc::omap4Config();
-        cfg.costs.inactiveTimeout = 0;
-        soc = std::make_unique<soc::Soc>(eng, cfg);
-        std::vector<kern::Kernel *> raw;
-        for (soc::DomainId d = 0; d < domains; ++d) {
-            kernels.push_back(std::make_unique<kern::Kernel>(
-                *soc, d, "k" + std::to_string(d)));
-            kernels.back()->boot();
-            raw.push_back(kernels.back().get());
-        }
-        ndsm = std::make_unique<os::NDsm>(*soc, raw, 4096, dsm);
-        for (std::size_t i = 0; i < kernels.size(); ++i) {
-            kernels[i]->setMailHandler(
-                [this, i](soc::Mail m, soc::Core &c) {
-                    return ndsm->handleMail(i, m, c);
-                });
-        }
-        proc = std::make_unique<kern::Process>(1, "bench");
-    }
-
-    sim::Engine &engine() { return eng; }
-
-    void
-    snapState(snap::Io &io)
-    {
-        eng.snapState(io);
-        soc->snapState(io);
-        for (auto &k : kernels)
-            k->snapState(io);
-        ndsm->snapState(io);
-        proc->snapState(io);
-    }
-
-    void
-    touch(std::size_t k, std::uint64_t page)
-    {
-        kernels[k]->spawnThread(
-            proc.get(), "t", ThreadKind::Normal,
-            [this, k, page](Thread &t) -> Task<void> {
-                co_await ndsm->access(t.kernel(), t.core(), page,
-                                      os::Access::Write);
-            });
-        eng.run();
-    }
-};
-
-} // namespace
 
 int
 main(int argc, char **argv)
@@ -117,22 +53,22 @@ main(int argc, char **argv)
     for (std::size_t i = 0; i < std::size(domain_counts); ++i) {
         const std::size_t n = domain_counts[i];
         runner.submit([&rows, &keytail, dsm, i, n, sweep]() {
-            auto &fx = wl::warmFixture<Fixture>(
+            auto &fx = wl::warmFixture<wl::DsmRig>(
                 sweep, "ndsm-" + std::to_string(n) + keytail,
                 [n, dsm] {
-                    return std::make_unique<Fixture>(n, dsm);
+                    return std::make_unique<wl::DsmRig>(n, dsm);
                 });
             // Ring: each kernel in turn takes the page.
             constexpr int kRounds = 30;
             for (int r = 0; r < kRounds; ++r)
-                fx.touch(static_cast<std::size_t>(r) % n, 7);
+                fx.touch(static_cast<std::size_t>(r) % n, 7, os::Access::Write);
             std::uint64_t total_faults = 0;
             for (std::size_t k = 0; k < n; ++k)
-                total_faults += fx.ndsm->faults(k);
+                total_faults += fx.dsm->faultStats(k).faults.value();
 
             rows[i] = Row{
-                fx.ndsm->meanFaultUs(1),
-                static_cast<double>(fx.ndsm->messagesSent()) /
+                fx.dsm->faultStats(1).totalUs.mean(),
+                static_cast<double>(fx.dsm->messagesSent()) /
                     static_cast<double>(total_faults)};
         });
     }

@@ -47,16 +47,22 @@ bool
 Directory::writeValid(std::size_t k, std::uint64_t page)
 {
     Entry &e = entry(page);
+    if (!writable(k, page))
+        return false;
+    e.dirty = true; // Silent E->M upgrade (no-op when already M).
+    return true;
+}
+
+bool
+Directory::writable(std::size_t k, std::uint64_t page) const
+{
+    auto it = entries_.find(page);
+    const Entry e = it == entries_.end() ? Entry{} : it->second;
     if (e.owner != k || e.sharers != bit(k))
         return false;
-    if (e.dirty)
-        return true;
     // Sole clean owner: MESI/MOESI upgrade E->M silently; MSI has no
     // E state, so even the last holder standing pays a GetX.
-    if (kind_ == ProtocolKind::ThreeState)
-        return false;
-    e.dirty = true;
-    return true;
+    return e.dirty || kind_ != ProtocolKind::ThreeState;
 }
 
 void
@@ -134,30 +140,7 @@ Directory::snapState(snap::Io &io)
     io.pod(invalidations_);
     io.pod(forwards_);
     io.pod(writebacks_);
-    std::vector<std::uint64_t> keys;
-    keys.reserve(entries_.size());
-    for (const auto &kv : entries_)
-        keys.push_back(kv.first);
-    std::sort(keys.begin(), keys.end());
-    std::uint64_t n = io.count(keys.size());
-    if (io.restoring()) {
-        std::vector<std::uint64_t> snapKeys(
-            static_cast<std::size_t>(n));
-        for (auto &k : snapKeys)
-            io.pod(k);
-        for (std::uint64_t k : keys) {
-            if (!std::binary_search(snapKeys.begin(), snapKeys.end(),
-                                    k))
-                entries_.erase(k);
-        }
-        keys = std::move(snapKeys);
-    } else {
-        for (std::uint64_t k : keys) {
-            std::uint64_t v = k;
-            io.pod(v);
-        }
-    }
-    for (std::uint64_t k : keys) {
+    for (std::uint64_t k : io.growingKeys(entries_)) {
         Entry &e = entries_[k]; // Created if dropped before capture.
         io.pod(e.owner);
         io.pod(e.sharers);

@@ -11,7 +11,7 @@
  * InvAcks before granting exclusivity.
  *
  * Directory is the pure state table plus the transition rules; timing,
- * mail and task structure stay with os::NDsm. The E and O refinements
+ * mail and task structure stay with os::Dsm. The E and O refinements
  * are encoded rather than stored: E (clean exclusive, MESI/MOESI) is
  * `owner == k, sharers == {k}, !dirty` and upgrades silently; O
  * (owned-dirty, MOESI) is `dirty` with `sharers` larger than {owner} --
@@ -78,6 +78,9 @@ class Directory
      * case the E->M upgrade happens silently here.
      */
     bool writeValid(std::size_t k, std::uint64_t page);
+
+    /** writeValid() without the silent upgrade (introspection). */
+    bool writable(std::size_t k, std::uint64_t page) const;
 
     /** Close a write transaction: @p req becomes sole dirty owner. */
     void finishWrite(Entry &e, std::size_t req);

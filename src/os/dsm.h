@@ -1,41 +1,53 @@
 /**
  * @file
- * The K2 software distributed shared memory (paper §6.3).
+ * The K2 software distributed shared memory (paper §6.3), over N
+ * coherence domains as §11 proposes.
  *
  * The DSM keeps shadowed-service state coherent between the main
- * (strong-domain) and shadow (weak-domain) kernels under sequential
- * consistency, maintaining the one-writer invariant at 4 KB page
- * granularity.
+ * (strong-domain, index 0) kernel and the shadow kernels under
+ * sequential consistency, maintaining the one-writer invariant at
+ * 4 KB page granularity. The paper's K2 is the N = 2 instance: "For N
+ * domains (N being moderate), K2 can be extended without structural
+ * changes: the DSM (§6.3) will track page ownership among N domains
+ * as in [17]". The coherence protocol is selectable
+ * (coherence::ProtocolKind, K2Config::dsmProtocol, `--dsm=`):
  *
- * Default protocol: the paper's simple two-state scheme. Each kernel's
- * copy of a page is Valid or Invalid; before touching an Invalid page
- * a kernel sends GetExclusive to the owner and spins (synchronously --
- * interrupt handlers cannot sleep) until PutExclusive arrives; the
- * owner flushes and invalidates the page from its cache before
- * granting. An alternative three-state (MSI) protocol with read
- * sharing is implemented for the §6.3 ablation; it pays the Cortex-M3
- * cascaded-MMU read-tracking penalty on every weak-kernel fault.
+ *  - TwoState (default): the paper's migratory scheme. Each kernel's
+ *    copy of a page is valid or invalid; before touching an invalid
+ *    page a kernel sends GetExclusive to the page's owner (tracked in
+ *    a directory every kernel keeps in sync -- here the simulator-side
+ *    table) and spins (synchronously: interrupt handlers cannot
+ *    sleep) until PutExclusive arrives. The owner flushes and
+ *    invalidates its copy before granting, and keeps local access
+ *    until then.
+ *  - ThreeState/Mesi/Moesi: a home-based directory (home on kernel 0)
+ *    with per-page sharer bitmaps: reads share, writes fan
+ *    invalidations out to every sharer and collect InvAcks before the
+ *    grant; MESI adds silent clean-exclusive upgrades, MOESI forwards
+ *    dirty pages cache-to-cache (coherence/directory.h). Weak kernels
+ *    pay the Cortex-M3 cascaded-MMU read-tracking penalty on every
+ *    fault.
+ *  - Rac: log-based release-acquire -- owners append modified lines to
+ *    per-domain logs, acquirers drain them under vector-clock order
+ *    (coherence/rac.h).
  *
- * The per-page state machine, message verbs and fault-phase cost hooks
- * are a pluggable strategy (src/os/coherence/): beyond the paper's two
- * protocols the registry carries directory MESI/MOESI and a log-based
- * release-acquire protocol, selectable via K2Config::dsmProtocol or
- * the sweep binaries' --dsm= flag. This class remains the facade that
- * owns the platform handles, cost model, Table-5 statistics and
- * metrics, so reports and snapshots are protocol-independent.
- *
- * Asymmetric priorities (favouring the strong domain): the main kernel
- * services GetExclusive in a bottom half, deferring further when
- * loaded; the shadow kernel services requests before any other pending
- * interrupt.
+ * Costs follow Table 5 of the paper: each kernel takes the strong or
+ * weak row of one cost table by its domain's kernelCostFactor.
+ * Asymmetric priorities favour the strong domain: kernel 0 services
+ * requests in a bottom half, deferring further when loaded; weak
+ * kernels serve before any other pending interrupt. Pages start
+ * mapped at 1 MB section grain and are demoted to 4 KB on their first
+ * fault (the §6.3 footprint optimisation; not under release-acquire,
+ * whose invalidation is line-grain).
  */
 
 #ifndef K2_OS_DSM_H
 #define K2_OS_DSM_H
 
-#include <array>
 #include <cstdint>
 #include <memory>
+#include <unordered_map>
+#include <vector>
 
 #include "sim/stats.h"
 #include "sim/sync.h"
@@ -43,7 +55,8 @@
 #include "soc/mmu.h"
 #include "soc/soc.h"
 #include "kern/kernel.h"
-#include "os/coherence/protocol.h"
+#include "os/coherence/directory.h"
+#include "os/coherence/rac.h"
 #include "os/messages.h"
 #include "os/system.h"
 
@@ -58,47 +71,49 @@ namespace os {
 class Dsm
 {
   public:
-    /** Protocol selector (see coherence::ProtocolKind for the zoo). */
-    using Protocol = coherence::ProtocolKind;
+    /**
+     * Fault-timeout retry (recovery layer). Off by default (timeout ==
+     * 0): the faulting kernel spins on the grant forever. When enabled,
+     * a faulter whose grant does not arrive within the timeout re-sends
+     * its request -- to the page's *current* owner/home, re-read from
+     * the directory -- backing off exponentially up to maxTimeout.
+     * Attempts are unbounded: a fault stranded on a crashed owner
+     * self-heals once the page is reclaimed to a survivor
+     * (reclaimFrom) or the owner revives.
+     */
+    struct RetryPolicy
+    {
+        sim::Duration timeout = 0;
+        sim::Duration maxTimeout = sim::msec(4);
+    };
 
-    /** Per-fault cost constants (Table 5 calibration). */
-    using CostModel = coherence::PairCostModel;
-
-    /** Fault-timeout retry policy (recovery layer). */
-    using RetryPolicy = coherence::RetryPolicy;
-
-    /** Per-sender fault statistics (the Table 5 breakdown). */
-    using FaultStats = coherence::FaultStats;
+    /** Per-kernel fault statistics (the Table 5 breakdown). */
+    struct FaultStats
+    {
+        sim::Counter faults;
+        sim::Accumulator localFaultUs;
+        sim::Accumulator protocolUs;
+        sim::Accumulator commUs;
+        sim::Accumulator serviceUs;
+        sim::Accumulator exitUs;
+        sim::Accumulator totalUs;
+    };
 
     /**
      * @param soc The platform.
-     * @param kernels Main kernel (index 0, strong domain) and shadow
-     *        kernel (index 1, weak domain).
+     * @param kernels One kernel per coherence domain, the main (strong)
+     *        kernel first; at least two, at most 32.
      * @param num_pages Number of DSM-managed page keys available.
+     * @param kind Coherence protocol.
      */
-    Dsm(soc::Soc &soc, std::array<kern::Kernel *, 2> kernels,
-        std::uint64_t num_pages, Protocol protocol = Protocol::TwoState);
-    Dsm(soc::Soc &soc, std::array<kern::Kernel *, 2> kernels,
-        std::uint64_t num_pages, Protocol protocol, CostModel costs);
+    Dsm(soc::Soc &soc, std::vector<kern::Kernel *> kernels,
+        std::uint64_t num_pages,
+        coherence::ProtocolKind kind = coherence::ProtocolKind::TwoState);
     ~Dsm();
 
-    Protocol protocol() const { return impl_->kind(); }
-
-    /** Enable/disable the fault-timeout retry (see RetryPolicy). */
     void setRetryPolicy(RetryPolicy p) { retry_ = p; }
 
-    /** Grant-timeout retries sent so far. */
-    std::uint64_t retries() const { return retries_.value(); }
-
-    /**
-     * Crash recovery: make @p owner the exclusive owner of every DSM
-     * page, invalidating the (dead) peer's copies. Faults of @p owner
-     * left waiting on a grant from the dead peer are completed
-     * locally.
-     *
-     * @return Number of pages whose ownership state changed.
-     */
-    std::uint64_t reclaimAll(KernelIdx owner);
+    std::size_t numKernels() const { return kernels_.size(); }
 
     /** Reserve a range of DSM page keys for a shared region. */
     kern::PageRange allocRegion(std::uint64_t pages);
@@ -113,75 +128,160 @@ class Dsm
     sim::Task<void> access(kern::Kernel &kern, soc::Core &core,
                            std::uint64_t page, Access rw);
 
-    /**
-     * Mail dispatch: handle a DSM message received by @p to_kernel.
-     * Called from the mailbox ISR.
-     */
-    sim::Task<void> handleMail(KernelIdx to_kernel, Message msg,
+    /** Mail dispatch (GetExclusive/PutExclusive), from the mailbox
+     *  ISR of kernel @p to_kernel. */
+    sim::Task<void> handleMail(KernelIdx to_kernel, soc::Mail mail,
                                soc::Core &core);
 
-    /** @name Introspection for tests and benches. @{ */
+    /**
+     * Crash recovery: reassign every page held by the (crashed) kernel
+     * @p dead to @p to, in ascending page order, and return the moved
+     * page keys. Under the two-state protocol a page in transit to or
+     * from @p dead moves too, and a fault of @p to stranded waiting on
+     * @p dead's grant completes locally. Directory modes also scrub
+     * @p dead from sharer/ack bitmaps and complete transactions that
+     * were stalled only on it. Faults of other kernels self-heal
+     * through the retry path (arm a RetryPolicy before injecting
+     * crashes).
+     */
+    std::vector<std::uint64_t> reclaimFrom(KernelIdx dead, KernelIdx to);
 
-    /** True if @p kernel's copy of @p page permits @p rw locally. */
-    bool isLocallyValid(KernelIdx kernel, std::uint64_t page,
+    /** @name Introspection for tests, benches and reports. @{ */
+
+    /** True if @p k's copy of @p page permits @p rw locally. */
+    bool isLocallyValid(KernelIdx k, std::uint64_t page,
                         Access rw) const;
 
-    const FaultStats &faultStats(KernelIdx sender) const
-    {
-        return stats_[sender];
-    }
+    /** Current owner of @p page (directory modes: the entry's owner;
+     *  RAC: the page's last writer). */
+    KernelIdx ownerOf(std::uint64_t page) const;
 
-    FaultStats &mutableFaultStats(KernelIdx sender)
+    const FaultStats &faultStats(KernelIdx k) const
     {
-        return stats_[sender];
+        return stats_.at(k);
     }
 
     /** Total coherence messages sent. */
     std::uint64_t messagesSent() const { return messages_.value(); }
 
-    /** Pages demoted to 4 KB mapping grain so far (§6.3 footprint
-     *  optimisation). */
+    /** Pages demoted to 4 KB mapping grain so far. */
     std::uint64_t pagesDemoted() const { return demotions_.value(); }
 
-    /** Per-kernel MMU model (exposed for TLB statistics). */
-    soc::Mmu &mmu(KernelIdx k) { return *mmus_[k]; }
+    /** Grant-timeout retries sent so far. */
+    std::uint64_t retries() const { return retries_.value(); }
 
     /** @} */
 
     /**
-     * Register fault counters, the per-phase Table 5 accumulators and
-     * MMU statistics under "<prefix>.<kernel-name>.*". Protocols
-     * beyond the paper's two add their own counters under
-     * "<prefix>.<proto>.*"; the defaults add none, keeping the legacy
-     * key set exact.
+     * Register the message/demotion counters, each kernel's fault
+     * count, Table-5 phase accumulators and TLB statistics under
+     * "<prefix>.<kernel-name>.*", and the directory or log counters
+     * under "<prefix>.<proto>.*". Retries appear only with a retry
+     * policy armed, so zero-fault snapshots keep their key set.
      */
     void registerMetrics(obs::MetricsRegistry &reg,
                          const std::string &prefix) const;
 
     /**
-     * Capture/restore protocol state: per-page coherence state (pages
-     * instantiated after the capture point are dropped), MMU/TLB
-     * contents, fault statistics, and the message sequence counter.
+     * Capture/restore: per-page coherence state (pages instantiated
+     * after the capture point are dropped), MMU/TLB contents, fault
+     * statistics, protocol state and the message sequence counter.
      */
     void snapState(snap::Io &io);
 
   private:
+    struct PageInfo
+    {
+        /** @name Two-state mode. @{ */
+        std::uint32_t owner = 0;    //!< Directory owner: Gets go here.
+        std::uint32_t servedBy = 0; //!< Kernel that ran the last service.
+        std::uint32_t valid = 1;    //!< Kernels holding a valid copy.
+        std::uint32_t raced = 0;    //!< Invalidated by a crossed service
+                                    //!< while their own fault was in
+                                    //!< flight.
+        /** @} */
+        std::uint32_t outstanding = 0;  //!< Kernels with a fault in flight.
+        std::uint32_t grantArrived = 0; //!< Grant really arrived (vs a
+                                        //!< retry-timer pulse).
+        bool demoted = false;
+        std::unique_ptr<sim::Event> grant;   //!< Pulsed on a grant.
+        std::unique_ptr<sim::Event> settled; //!< Pulsed when a fault
+                                             //!< completes.
+        sim::Duration lastServiceTime = 0;   //!< For attribution only.
+        sim::Duration peerService = 0;       //!< Slowest sharer's
+                                             //!< invalidation in the
+                                             //!< open directory write.
+    };
+
+    PageInfo &info(std::uint64_t page);
     KernelIdx idxOf(const kern::Kernel &k) const;
+    soc::Core *pickCore(KernelIdx kernel);
+    sim::Duration bottomHalf() const;
+    sim::Task<void> demote(PageInfo &pi, KernelIdx k, soc::Core &core,
+                           std::uint64_t page);
+    sim::Task<void> spinForGrant(PageInfo &pi, KernelIdx k,
+                                 soc::Core &core, std::uint64_t page,
+                                 std::uint32_t resend_payload, Access rw);
+    void finishFault(PageInfo &pi, KernelIdx k, sim::Time t0,
+                     sim::Time t1, sim::Time t2, sim::Time t3,
+                     sim::Time t4);
+
+    /** @name Two-state (migratory) mode. @{ */
+    KernelIdx requestTarget(const PageInfo &pi, KernelIdx k) const;
+    sim::Task<void> accessTwoState(KernelIdx k, soc::Core &core,
+                                   std::uint64_t page, Access rw);
+    sim::Task<void> serviceGet(KernelIdx owner, KernelIdx requester,
+                               std::uint64_t page, Access rw);
+    /** @} */
+
+    /** @name Directory (MSI/MESI/MOESI) mode. @{ */
+    sim::Task<void> accessDir(KernelIdx k, soc::Core &core,
+                              std::uint64_t page, Access rw);
+    sim::Task<void> dirService(KernelIdx req, std::uint64_t page,
+                               bool write, bool via_mail);
+    sim::Task<void> invService(KernelIdx target, std::uint64_t page);
+    sim::Task<void> fwdService(KernelIdx owner, std::uint64_t page);
+    void grantTo(KernelIdx grantor, KernelIdx req, std::uint64_t page,
+                 coherence::RepOp op);
+    /** @} */
+
+    /** @name Release-acquire (RAC) mode. @{ */
+    sim::Task<void> accessRac(KernelIdx k, soc::Core &core,
+                              std::uint64_t page, Access rw);
+    sim::Task<void> racService(KernelIdx writer, KernelIdx req,
+                               std::uint64_t page);
+    /** @} */
+
+    /** Per-fault costs of one kernel (a row of Table 5). The owner's
+     *  cache flush is charged separately, from the domain spec. */
+    struct Costs
+    {
+        sim::Duration faultEntry;   //!< Exception entry + decoding.
+        sim::Duration protocolExec; //!< Protocol bookkeeping.
+        sim::Duration serviceBase;  //!< Servicing, before the flush.
+        sim::Duration exitRefill;   //!< Fault exit + cache refill.
+    };
+    static const Costs kStrongCosts;
+    static const Costs kWeakCosts;
 
     soc::Soc &soc_;
-    std::array<kern::Kernel *, 2> kernels_;
+    std::vector<kern::Kernel *> kernels_;
+    coherence::ProtocolKind kind_;
+    std::vector<Costs> costs_;
+    std::vector<char> weak_; //!< Pays the read-tracking penalty.
+    std::vector<std::unique_ptr<soc::Mmu>> mmus_;
+    std::vector<sim::TrackId> tracks_; //!< Per-kernel span tracks.
     std::uint64_t numPages_;
     std::uint64_t nextRegionPage_ = 0;
-    CostModel costs_;
-    std::array<std::unique_ptr<soc::Mmu>, 2> mmus_;
-    std::array<FaultStats, 2> stats_;
-    std::array<sim::TrackId, 2> tracks_{}; //!< Per-kernel span tracks.
+    std::unordered_map<std::uint64_t, std::unique_ptr<PageInfo>> pages_;
+    std::vector<FaultStats> stats_;
     sim::Counter messages_;
     sim::Counter demotions_;
     sim::Counter retries_;
     RetryPolicy retry_{};
     std::uint32_t seq_ = 0;
-    std::unique_ptr<coherence::PairProtocol> impl_;
+    std::unique_ptr<coherence::Directory> dir_; //!< Directory modes.
+    std::unique_ptr<coherence::RacState> rac_;  //!< RAC mode.
 };
 
 } // namespace os

@@ -16,9 +16,9 @@
  *     cost) while the shadow is down. With a ReplicaGroup attached
  *     this step is delegated: the group elects a new leader among the
  *     surviving replicas and degrades only if quorum is lost;
- *  2. re-own: take exclusive DSM ownership of every page
- *     (Dsm::reclaimAll), completing main-side faults stranded waiting
- *     on grants from the dead kernel (group mode: the new leader
+ *  2. re-own: take DSM ownership of every page the dead kernel held
+ *     or had in transit (Dsm::reclaimFrom), completing main-side
+ *     faults stranded waiting on grants from the dead kernel (group mode: the new leader
  *     inherits the dead replica's pages instead);
  *  3. restart: after the configured restart latency, revive the
  *     domain, reset its interrupt controller, and replay the shadow
@@ -74,11 +74,11 @@ class Watchdog
     /**
      * @param shadows The watched weak-domain kernels, in replica order
      *                (replica r = kernel index r + 1).
-     * @param dsm The two-kernel DSM to re-own pages on, or null when a
-     *            ReplicaGroup handles page inheritance instead.
+     * @param dsm The DSM to re-own pages on (unless a ReplicaGroup
+     *            handles page inheritance).
      */
     Watchdog(soc::Soc &soc, kern::Kernel &main,
-             std::vector<kern::Kernel *> shadows, Dsm *dsm,
+             std::vector<kern::Kernel *> shadows, Dsm &dsm,
              IrqRouter &router, fault::FaultInjector *inj, Config cfg);
 
     /** Attach the replica group recovery is delegated to. */
@@ -129,7 +129,7 @@ class Watchdog
     soc::Soc &soc_;
     kern::Kernel &main_;
     std::vector<kern::Kernel *> shadows_;
-    Dsm *dsm_;
+    Dsm &dsm_;
     IrqRouter &router_;
     fault::FaultInjector *injector_;
     ReplicaGroup *group_ = nullptr;

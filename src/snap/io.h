@@ -25,6 +25,7 @@
 #ifndef K2_SNAP_IO_H
 #define K2_SNAP_IO_H
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <deque>
@@ -151,6 +152,38 @@ class Io
         }
         for (auto &e : d)
             pod(e);
+    }
+
+    /**
+     * Sync the key set of a map that only ever grows: capture records
+     * the keys; restore erases the entries instantiated after the
+     * capture point (replay re-instantiates them identically). Returns
+     * the captured keys in ascending order, the order in which the
+     * caller then syncs each entry.
+     */
+    template <typename Map>
+    std::vector<std::uint64_t>
+    growingKeys(Map &m)
+    {
+        std::vector<std::uint64_t> keys;
+        keys.reserve(m.size());
+        for (const auto &kv : m)
+            keys.push_back(kv.first);
+        std::sort(keys.begin(), keys.end());
+        std::uint64_t n = count(keys.size());
+        if (!restoring()) {
+            for (std::uint64_t &k : keys)
+                pod(k);
+            return keys;
+        }
+        std::vector<std::uint64_t> snapKeys(static_cast<std::size_t>(n));
+        for (std::uint64_t &k : snapKeys)
+            pod(k);
+        for (std::uint64_t k : keys) {
+            if (!std::binary_search(snapKeys.begin(), snapKeys.end(), k))
+                m.erase(k);
+        }
+        return snapKeys;
     }
 
     /** Restore epilogue: the image must be consumed exactly. */

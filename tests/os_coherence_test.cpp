@@ -2,10 +2,13 @@
  * @file
  * Protocol-conformance suite for the DSM coherence zoo
  * (os/coherence/): every registered protocol must uphold the same
- * contracts on the two-kernel pair (os/dsm.h) and the N-domain DSM
- * (os/ndsm.h) -- one writer at a time, read-your-writes, completion
- * of every access under seeded multi-domain fuzz with shadow-data
- * verification, deterministic replay, and snapshot roundtrip.
+ * contracts at every domain count -- one writer at a time,
+ * read-your-writes, completion of every access under seeded fuzz with
+ * shadow-data verification, crash reclaim, deterministic replay, and
+ * snapshot roundtrip. Each contract runs on the two-domain pair
+ * (PairConformanceTest) and on three domains (NdsmConformanceTest) of a
+ * bare DSM rig; SystemConformanceTest runs the DSM inside a whole
+ * K2System, through its mail dispatch, metrics and snapshots.
  */
 
 #include <gtest/gtest.h>
@@ -14,25 +17,270 @@
 #include <memory>
 #include <vector>
 
+#include "obs/metrics.h"
 #include "os/coherence/protocol.h"
 #include "os/k2_system.h"
-#include "os/ndsm.h"
 #include "sim/random.h"
 #include "snap/snapshot.h"
+#include "workloads/dsm_rig.h"
 
 namespace k2::os {
 namespace {
 
+using coherence::ProtocolKind;
 using kern::Thread;
 using kern::ThreadKind;
 using sim::Task;
 
-/** Two-kernel pair (K2System) under one zoo protocol. */
-class PairConformanceTest
-    : public ::testing::TestWithParam<coherence::ProtocolKind>
+/** The DSM on an @p N-domain rig under one zoo protocol. */
+template <std::size_t N>
+class ZooConformance : public ::testing::TestWithParam<ProtocolKind>
 {
   protected:
-    PairConformanceTest()
+    wl::DsmRig fx{N, GetParam(), 64};
+};
+
+class PairConformanceTest : public ZooConformance<2>
+{};
+
+class NdsmConformanceTest : public ZooConformance<3>
+{};
+
+/** One contract, checked at both domain counts. */
+#define CONFORMANCE_TEST(name)                                          \
+    void name##Check(wl::DsmRig &fx, std::size_t n, ProtocolKind proto); \
+    TEST_P(PairConformanceTest, name) { name##Check(fx, 2, GetParam()); } \
+    TEST_P(NdsmConformanceTest, name) { name##Check(fx, 3, GetParam()); } \
+    void name##Check([[maybe_unused]] wl::DsmRig &fx, std::size_t n,    \
+                     [[maybe_unused]] ProtocolKind proto)
+
+/** Every kernel writes in turn: exactly the last writer may write, and
+ *  the directory (or log) records it as the owner. */
+void
+checkOwnershipRing(wl::DsmRig &fx, std::size_t n)
+{
+    Dsm &dsm = *fx.dsm;
+    for (std::size_t r = 0; r < 3 * n; ++r) {
+        const std::size_t w = r % n;
+        fx.touch(w, 11, Access::Write);
+        EXPECT_EQ(dsm.ownerOf(11), w);
+        for (std::size_t k = 0; k < n; ++k)
+            EXPECT_EQ(dsm.isLocallyValid(k, 11, Access::Write), k == w);
+    }
+    // Every kernel but the initial owner faulted at least once.
+    for (std::size_t k = 1; k < n; ++k)
+        EXPECT_GE(dsm.faultStats(k).faults.value(), 1u);
+}
+
+TEST_P(PairConformanceTest, OneWriterInvariantUnderPingPong)
+{
+    checkOwnershipRing(fx, 2);
+}
+
+TEST_P(NdsmConformanceTest, WriteOwnershipRingAcrossThreeDomains)
+{
+    checkOwnershipRing(fx, 3);
+}
+
+CONFORMANCE_TEST(ReadYourWrites)
+{
+    Dsm &dsm = *fx.dsm;
+    const std::size_t k = n - 1;
+    fx.touch(k, 5, Access::Write);
+    const std::uint64_t faults = dsm.faultStats(k).faults.value();
+    // A kernel always sees its own writes without another fault.
+    fx.touch(k, 5, Access::Read);
+    fx.touch(k, 5, Access::Read);
+    EXPECT_EQ(dsm.faultStats(k).faults.value(), faults);
+    EXPECT_TRUE(dsm.isLocallyValid(k, 5, Access::Read));
+}
+
+CONFORMANCE_TEST(WriterRereadAfterPeerRead)
+{
+    Dsm &dsm = *fx.dsm;
+    fx.touch(0, 7, Access::Write);
+    fx.touch(n - 1, 7, Access::Read); // a peer pulls the page
+    const std::uint64_t faults = dsm.faultStats(0).faults.value();
+    fx.touch(0, 7, Access::Read);
+    if (proto == ProtocolKind::TwoState) {
+        // Migratory: the peer's read took exclusive ownership, so the
+        // writer's re-read faults the page back.
+        EXPECT_EQ(dsm.faultStats(0).faults.value(), faults + 1);
+    } else {
+        // Read-sharing (MSI/MESI/MOESI keep the writer a sharer; RAC
+        // keeps it the log owner): the re-read stays local.
+        EXPECT_EQ(dsm.faultStats(0).faults.value(), faults);
+    }
+}
+
+CONFORMANCE_TEST(SeededFuzzCompletesAndKeepsOneWriter)
+{
+    for (const std::uint64_t seed : {7ull, 101ull, 4242ull}) {
+        wl::DsmRig rig(n, proto, 64);
+        Dsm &dsm = *rig.dsm;
+        sim::Rng rng(seed);
+        // Shadow data model: each page's value is the step number of
+        // its last write, and the page's most recent accessor is
+        // recorded. Every completed write must make the writer the
+        // page's owner/log writer, and a read by the most recent
+        // accessor must be served from its own fresh copy -- no
+        // fault, no protocol messages. (That is the strongest freshness
+        // property every zoo member shares: read-your-writes, plus
+        // read-your-reads for the migratory protocol, where a peer's
+        // read would have stolen exclusive ownership.)
+        std::map<std::uint64_t, std::uint64_t> truth;
+        std::map<std::uint64_t, std::size_t> last_accessor;
+        int issued = 0;
+        int completed = 0;
+        for (int step = 0; step < 150; ++step) {
+            const auto k = static_cast<std::size_t>(rng.below(n));
+            const std::uint64_t page = rng.below(8);
+            const Access rw =
+                rng.below(4) == 0 ? Access::Read : Access::Write;
+            const bool own_read = rw == Access::Read &&
+                                  last_accessor.count(page) &&
+                                  last_accessor[page] == k;
+            const std::uint64_t faults0 = dsm.faultStats(k).faults.value();
+            const std::uint64_t msgs0 = dsm.messagesSent();
+            ++issued;
+            rig.kernels[k]->spawnThread(
+                rig.proc.get(), "t", ThreadKind::Normal,
+                [&, k, page, rw, step](Thread &t) -> Task<void> {
+                    co_await dsm.access(t.kernel(), t.core(), page, rw);
+                    if (rw == Access::Write) {
+                        truth[page] = static_cast<std::uint64_t>(step);
+                        EXPECT_EQ(dsm.ownerOf(page), k);
+                    }
+                    last_accessor[page] = k;
+                    ++completed;
+                });
+            rig.eng.run();
+            if (own_read) {
+                EXPECT_EQ(dsm.faultStats(k).faults.value(), faults0)
+                    << "seed " << seed << " step " << step;
+                EXPECT_EQ(dsm.messagesSent(), msgs0);
+            }
+        }
+        EXPECT_EQ(completed, issued) << "seed " << seed;
+        // 2 protocol messages per simple transfer; directory fan-out
+        // adds invalidations but stays bounded.
+        std::uint64_t faults = 0;
+        for (std::size_t k = 0; k < n; ++k)
+            faults += dsm.faultStats(k).faults.value();
+        EXPECT_LE(dsm.messagesSent(), 6 * faults + 8);
+    }
+}
+
+CONFORMANCE_TEST(ConcurrentWritersSerialise)
+{
+    int done = 0;
+    for (std::size_t k = 0; k < n; ++k) {
+        fx.kernels[k]->spawnThread(
+            fx.proc.get(), "w", ThreadKind::Normal,
+            [&fx, &done](Thread &t) -> Task<void> {
+                co_await fx.dsm->access(t.kernel(), t.core(), 23,
+                                        Access::Write);
+                ++done;
+            });
+    }
+    fx.eng.run();
+    EXPECT_EQ(done, static_cast<int>(n));
+    const std::size_t owner = fx.dsm->ownerOf(23);
+    ASSERT_LT(owner, n);
+    for (std::size_t k = 0; k < n; ++k) {
+        EXPECT_EQ(fx.dsm->isLocallyValid(k, 23, Access::Write),
+                  k == owner);
+    }
+}
+
+CONFORMANCE_TEST(ConcurrentFuzzCompletesAndKeepsOneWriter)
+{
+    // Racing faults: every access of a seeded batch is in flight at
+    // once, several per kernel and per page. All must complete, and
+    // at quiescence at most one kernel may write each page.
+    for (const std::uint64_t seed : {3ull, 58ull, 977ull}) {
+        wl::DsmRig rig(n, proto, 64);
+        sim::Rng rng(seed);
+        int completed = 0;
+        constexpr int kAccesses = 60;
+        for (int i = 0; i < kAccesses; ++i) {
+            const auto k = static_cast<std::size_t>(rng.below(n));
+            const std::uint64_t page = rng.below(4);
+            const Access rw =
+                rng.below(3) == 0 ? Access::Read : Access::Write;
+            rig.kernels[k]->spawnThread(
+                rig.proc.get(), "t", ThreadKind::Normal,
+                [&rig, &completed, page, rw](Thread &t) -> Task<void> {
+                    co_await rig.dsm->access(t.kernel(), t.core(), page,
+                                             rw);
+                    ++completed;
+                });
+        }
+        rig.eng.run();
+        EXPECT_EQ(completed, kAccesses) << "seed " << seed;
+        for (std::uint64_t page = 0; page < 4; ++page) {
+            std::size_t writers = 0;
+            for (std::size_t k = 0; k < n; ++k)
+                writers += rig.dsm->isLocallyValid(k, page, Access::Write);
+            EXPECT_LE(writers, 1u) << "seed " << seed << " page " << page;
+        }
+    }
+}
+
+CONFORMANCE_TEST(ReclaimMovesOwnershipToSurvivor)
+{
+    Dsm &dsm = *fx.dsm;
+    // Kernel 1 crashes holding pages 4 and 9; page 30 stays with a
+    // live kernel (the third domain, or the survivor itself).
+    const std::size_t keeper = n >= 3 ? 2 : 0;
+    fx.touch(1, 4, Access::Write);
+    fx.touch(1, 9, Access::Write);
+    fx.touch(keeper, 30, Access::Write);
+    const auto moved = dsm.reclaimFrom(1, 0);
+    ASSERT_EQ(moved.size(), 2u);
+    EXPECT_EQ(moved[0], 4u);
+    EXPECT_EQ(moved[1], 9u);
+    EXPECT_EQ(dsm.ownerOf(4), 0u);
+    EXPECT_EQ(dsm.ownerOf(9), 0u);
+    EXPECT_EQ(dsm.ownerOf(30), keeper);
+    // The survivors (and the revived kernel) keep making progress on
+    // the reclaimed pages.
+    fx.touch(n - 1, 4, Access::Write);
+    EXPECT_EQ(dsm.ownerOf(4), n - 1);
+}
+
+CONFORMANCE_TEST(SnapshotRoundtripReplaysIdentically)
+{
+    // Warm up with a little traffic so protocol state (sharer
+    // bitmaps, logs, vector clocks) is non-trivial at capture.
+    fx.touch(1, 2, Access::Write);
+    fx.touch(n - 1, 2, Access::Read);
+
+    auto replay = [&fx, n] {
+        for (std::size_t r = 0; r < 12; ++r) {
+            fx.touch(r % n, r % 4,
+                     r % 3 == 0 ? Access::Read : Access::Write);
+        }
+    };
+
+    const snap::Snapshot base = snap::Snapshot::of(fx);
+    replay();
+    const snap::Snapshot first = snap::Snapshot::of(fx);
+    base.restore(fx);
+    EXPECT_EQ(base, snap::Snapshot::of(fx));
+    replay();
+    // Restored state replays to bit-identical protocol state,
+    // statistics, clocks, and RNG streams.
+    EXPECT_EQ(first, snap::Snapshot::of(fx));
+}
+
+/** The two-domain DSM inside a whole K2System under one zoo protocol:
+ *  its mail arrives through the system's dispatcher, and it is part of
+ *  the system's metrics and snapshots. */
+class SystemConformanceTest : public ::testing::TestWithParam<ProtocolKind>
+{
+  protected:
+    SystemConformanceTest()
     {
         K2Config cfg;
         cfg.soc.costs.inactiveTimeout = 0;
@@ -58,59 +306,41 @@ class PairConformanceTest
     kern::Process *proc = nullptr;
 };
 
-TEST_P(PairConformanceTest, OneWriterInvariantUnderPingPong)
+TEST_P(SystemConformanceTest, OneWriterInvariantUnderPingPong)
 {
     Dsm &dsm = k2sys->dsm();
-    for (int round = 0; round < 8; ++round) {
-        const std::size_t w = static_cast<std::size_t>(round % 2);
+    for (std::size_t round = 0; round < 8; ++round) {
+        const std::size_t w = 1 - round % 2;
         touch(w, 3, Access::Write);
-        // Exactly the last writer holds write permission.
+        EXPECT_EQ(dsm.ownerOf(3), w);
         EXPECT_TRUE(dsm.isLocallyValid(w, 3, Access::Write));
         EXPECT_FALSE(dsm.isLocallyValid(1 - w, 3, Access::Write));
     }
-}
 
-TEST_P(PairConformanceTest, ReadYourWrites)
-{
-    Dsm &dsm = k2sys->dsm();
-    touch(1, 5, Access::Write);
-    const std::uint64_t faults = dsm.faultStats(1).faults.value();
-    // A kernel always sees its own writes without another fault.
-    touch(1, 5, Access::Read);
-    touch(1, 5, Access::Read);
-    EXPECT_EQ(dsm.faultStats(1).faults.value(), faults);
-    EXPECT_TRUE(dsm.isLocallyValid(1, 5, Access::Read));
-}
-
-TEST_P(PairConformanceTest, WriterRereadAfterPeerRead)
-{
-    Dsm &dsm = k2sys->dsm();
-    touch(0, 7, Access::Write);
-    touch(1, 7, Access::Read); // peer pulls the page
-    const std::uint64_t faults = dsm.faultStats(0).faults.value();
-    touch(0, 7, Access::Read);
-    if (GetParam() == coherence::ProtocolKind::TwoState) {
-        // Migratory: the peer's read took exclusive ownership, so the
-        // writer's re-read faults the page back.
-        EXPECT_EQ(dsm.faultStats(0).faults.value(), faults + 1);
-    } else {
-        // Read-sharing (MSI/MESI/MOESI keep the writer a sharer; RAC
-        // keeps it the log owner): the re-read stays local.
-        EXPECT_EQ(dsm.faultStats(0).faults.value(), faults);
+    // The system registers the DSM's counters, the protocol's own
+    // included.
+    obs::MetricsRegistry reg;
+    k2sys->registerMetrics(reg);
+    const obs::MetricsSnapshot snap = reg.snapshot();
+    const obs::MetricValue *msgs = snap.find("os.dsm.messages");
+    ASSERT_NE(msgs, nullptr);
+    EXPECT_GT(msgs->count, 0u);
+    EXPECT_EQ(msgs->count, dsm.messagesSent());
+    if (GetParam() != ProtocolKind::TwoState) {
+        EXPECT_TRUE(snap.hasPrefix(std::string("os.dsm.") +
+                                   coherence::protocolName(GetParam()) +
+                                   "."));
     }
 }
 
-TEST_P(PairConformanceTest, SnapshotRoundtripReplaysIdentically)
+TEST_P(SystemConformanceTest, SnapshotRoundtripReplaysIdentically)
 {
-    // Warm up with a little traffic so protocol state (sharer
-    // bitmaps, logs, vector clocks) is non-trivial at capture.
     touch(1, 2, Access::Write);
     touch(0, 2, Access::Read);
 
     auto replay = [this] {
-        for (int r = 0; r < 10; ++r) {
-            touch(static_cast<std::size_t>(r % 2),
-                  static_cast<std::uint64_t>(r % 3),
+        for (std::size_t r = 0; r < 10; ++r) {
+            touch(r % 2, r % 3,
                   r % 4 == 0 ? Access::Read : Access::Write);
         }
     };
@@ -121,219 +351,24 @@ TEST_P(PairConformanceTest, SnapshotRoundtripReplaysIdentically)
     base.restore(*k2sys);
     EXPECT_EQ(base, snap::Snapshot::of(*k2sys));
     replay();
-    // Restored state replays to bit-identical protocol state,
-    // statistics, clocks, and RNG streams.
     EXPECT_EQ(first, snap::Snapshot::of(*k2sys));
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Zoo, PairConformanceTest,
-    ::testing::ValuesIn(coherence::allProtocols()),
-    [](const ::testing::TestParamInfo<coherence::ProtocolKind> &info) {
-        return coherence::protocolName(info.param);
-    });
-
-/** Three-domain NDsm under one zoo protocol. */
-class NdsmConformanceTest
-    : public ::testing::TestWithParam<coherence::ProtocolKind>
+std::string
+zooName(const ::testing::TestParamInfo<ProtocolKind> &info)
 {
-  protected:
-    struct Fixture
-    {
-        sim::Engine eng;
-        std::unique_ptr<soc::Soc> soc;
-        std::vector<std::unique_ptr<kern::Kernel>> kernels;
-        std::unique_ptr<NDsm> ndsm;
-        std::unique_ptr<kern::Process> proc;
-
-        explicit Fixture(coherence::ProtocolKind proto,
-                         std::uint64_t pages = 64)
-        {
-            auto cfg = soc::threeDomainConfig();
-            cfg.costs.inactiveTimeout = 0;
-            soc = std::make_unique<soc::Soc>(eng, cfg);
-            std::vector<kern::Kernel *> raw;
-            for (soc::DomainId d = 0; d < 3; ++d) {
-                kernels.push_back(std::make_unique<kern::Kernel>(
-                    *soc, d, "k" + std::to_string(d)));
-                kernels.back()->boot();
-                raw.push_back(kernels.back().get());
-            }
-            ndsm = std::make_unique<NDsm>(*soc, raw, pages, proto);
-            for (std::size_t i = 0; i < 3; ++i) {
-                kernels[i]->setMailHandler(
-                    [this, i](soc::Mail m, soc::Core &c) {
-                        return ndsm->handleMail(i, m, c);
-                    });
-            }
-            proc = std::make_unique<kern::Process>(1, "app");
-        }
-
-        sim::Engine &engine() { return eng; }
-
-        void
-        snapState(snap::Io &io)
-        {
-            eng.snapState(io);
-            soc->snapState(io);
-            for (auto &k : kernels)
-                k->snapState(io);
-            ndsm->snapState(io);
-            proc->snapState(io);
-        }
-
-        void
-        touch(std::size_t k, std::uint64_t page, Access rw)
-        {
-            kernels[k]->spawnThread(
-                proc.get(), "t", ThreadKind::Normal,
-                [this, k, page, rw](Thread &t) -> Task<void> {
-                    co_await ndsm->access(t.kernel(), t.core(), page,
-                                          rw);
-                });
-            eng.run();
-        }
-    };
-};
-
-TEST_P(NdsmConformanceTest, WriteOwnershipRingAcrossThreeDomains)
-{
-    Fixture fx(GetParam());
-    for (int r = 0; r < 9; ++r) {
-        const std::size_t k = static_cast<std::size_t>(r % 3);
-        fx.touch(k, 11, Access::Write);
-        // One writer: the directory (or log) records the last writer.
-        EXPECT_EQ(fx.ndsm->ownerOf(11), k);
-    }
-    // Every kernel but the initial owner faulted at least once.
-    EXPECT_GE(fx.ndsm->faults(1), 1u);
-    EXPECT_GE(fx.ndsm->faults(2), 1u);
+    return coherence::protocolName(info.param);
 }
 
-TEST_P(NdsmConformanceTest, SeededFuzzCompletesAndKeepsOneWriter)
-{
-    for (const std::uint64_t seed : {7ull, 101ull, 4242ull}) {
-        Fixture fx(GetParam());
-        sim::Rng rng(seed);
-        // Shadow data model: each page's value is the step number of
-        // its last write, and the page's most recent accessor is
-        // recorded. Every completed write must make the writer the
-        // page's owner/log writer, and a read by the most recent
-        // accessor must be served from its own fresh copy -- no
-        // fault, no protocol messages. (That is the strongest freshness
-        // property every zoo member shares: read-your-writes, plus
-        // read-your-reads for the migratory protocol, where a peer's
-        // read would have stolen exclusive ownership.)
-        std::map<std::uint64_t, std::uint64_t> truth;
-        std::map<std::uint64_t, std::size_t> last_accessor;
-        int issued = 0;
-        int completed = 0;
-        for (int step = 0; step < 150; ++step) {
-            const auto k = static_cast<std::size_t>(rng.below(3));
-            const std::uint64_t page = rng.below(8);
-            const Access rw =
-                rng.below(4) == 0 ? Access::Read : Access::Write;
-            const bool own_read = rw == Access::Read &&
-                                  last_accessor.count(page) &&
-                                  last_accessor[page] == k;
-            const std::uint64_t faults0 = fx.ndsm->faults(k);
-            const std::uint64_t msgs0 = fx.ndsm->messagesSent();
-            ++issued;
-            fx.kernels[k]->spawnThread(
-                fx.proc.get(), "t", ThreadKind::Normal,
-                [&, k, page, rw, step](Thread &t) -> Task<void> {
-                    co_await fx.ndsm->access(t.kernel(), t.core(),
-                                             page, rw);
-                    if (rw == Access::Write) {
-                        truth[page] =
-                            static_cast<std::uint64_t>(step);
-                        EXPECT_EQ(fx.ndsm->ownerOf(page), k);
-                    }
-                    last_accessor[page] = k;
-                    ++completed;
-                });
-            fx.eng.run();
-            if (own_read) {
-                EXPECT_EQ(fx.ndsm->faults(k), faults0)
-                    << "seed " << seed << " step " << step;
-                EXPECT_EQ(fx.ndsm->messagesSent(), msgs0);
-            }
-        }
-        EXPECT_EQ(completed, issued) << "seed " << seed;
-        // 2 protocol messages per simple transfer; directory fan-out
-        // adds invalidations but stays bounded.
-        std::uint64_t faults = 0;
-        for (std::size_t k = 0; k < 3; ++k)
-            faults += fx.ndsm->faults(k);
-        EXPECT_LE(fx.ndsm->messagesSent(), 6 * faults + 8);
-    }
-}
-
-TEST_P(NdsmConformanceTest, ConcurrentWritersSerialise)
-{
-    Fixture fx(GetParam());
-    int done = 0;
-    for (const std::size_t k : {0u, 1u, 2u}) {
-        fx.kernels[k]->spawnThread(
-            fx.proc.get(), "w", ThreadKind::Normal,
-            [&fx, &done](Thread &t) -> Task<void> {
-                co_await fx.ndsm->access(t.kernel(), t.core(), 23,
-                                         Access::Write);
-                ++done;
-            });
-    }
-    fx.eng.run();
-    EXPECT_EQ(done, 3);
-    EXPECT_LT(fx.ndsm->ownerOf(23), 3u);
-}
-
-TEST_P(NdsmConformanceTest, ReclaimMovesOwnershipToSurvivor)
-{
-    Fixture fx(GetParam());
-    fx.touch(1, 4, Access::Write);
-    fx.touch(1, 9, Access::Write);
-    fx.touch(2, 30, Access::Write);
-    const auto moved = fx.ndsm->reclaimFrom(1, 0);
-    ASSERT_EQ(moved.size(), 2u);
-    EXPECT_EQ(moved[0], 4u);
-    EXPECT_EQ(moved[1], 9u);
-    EXPECT_EQ(fx.ndsm->ownerOf(4), 0u);
-    EXPECT_EQ(fx.ndsm->ownerOf(9), 0u);
-    EXPECT_EQ(fx.ndsm->ownerOf(30), 2u);
-    // The survivors keep making progress on the reclaimed pages.
-    fx.touch(2, 4, Access::Write);
-    EXPECT_EQ(fx.ndsm->ownerOf(4), 2u);
-}
-
-TEST_P(NdsmConformanceTest, SnapshotRoundtripReplaysIdentically)
-{
-    Fixture fx(GetParam());
-    fx.touch(1, 2, Access::Write);
-    fx.touch(2, 2, Access::Read);
-
-    auto replay = [&fx] {
-        for (int r = 0; r < 12; ++r) {
-            fx.touch(static_cast<std::size_t>(r % 3),
-                     static_cast<std::uint64_t>(r % 4),
-                     r % 3 == 0 ? Access::Read : Access::Write);
-        }
-    };
-
-    const snap::Snapshot base = snap::Snapshot::of(fx);
-    replay();
-    const snap::Snapshot first = snap::Snapshot::of(fx);
-    base.restore(fx);
-    EXPECT_EQ(base, snap::Snapshot::of(fx));
-    replay();
-    EXPECT_EQ(first, snap::Snapshot::of(fx));
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Zoo, NdsmConformanceTest,
-    ::testing::ValuesIn(coherence::allProtocols()),
-    [](const ::testing::TestParamInfo<coherence::ProtocolKind> &info) {
-        return coherence::protocolName(info.param);
-    });
+INSTANTIATE_TEST_SUITE_P(Zoo, PairConformanceTest,
+                         ::testing::ValuesIn(coherence::allProtocols()),
+                         zooName);
+INSTANTIATE_TEST_SUITE_P(Zoo, NdsmConformanceTest,
+                         ::testing::ValuesIn(coherence::allProtocols()),
+                         zooName);
+INSTANTIATE_TEST_SUITE_P(Zoo, SystemConformanceTest,
+                         ::testing::ValuesIn(coherence::allProtocols()),
+                         zooName);
 
 } // namespace
 } // namespace k2::os

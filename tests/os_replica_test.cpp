@@ -211,7 +211,7 @@ TEST(Replica, FanoutAndUnanimousVotes)
     cfg.replicas = 3;
     auto tb = wl::Testbed::makeK2(cfg);
     ASSERT_NE(tb.k2()->replicaGroup(), nullptr);
-    ASSERT_NE(tb.k2()->replicaDsm(), nullptr);
+    EXPECT_EQ(tb.k2()->dsm().numKernels(), 4u);
     EXPECT_EQ(tb.k2()->replicas(), 3u);
     EXPECT_EQ(tb.sys().kernels().size(), 4u);
 
