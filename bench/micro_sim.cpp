@@ -403,6 +403,13 @@ BENCHMARK(BM_ReplicaVoteRoundtrip);
  * instance per coherence protocol bounds how the zoo members differ
  * in *simulation* throughput -- the modelled latencies are
  * table5_dsm_fault's job.
+ *
+ * Each protocol runs at three fixed iteration counts (1k, 20k, 100k
+ * faults on one system). Reaped fault threads are freed and the
+ * NightWatch count is O(1), so the per-fault cost must not depend on
+ * how many faults ran before: the three rows should agree within
+ * ~10%, and a row that climbs with the count flags a per-thread cost
+ * that grows with history.
  */
 void
 dsmFaultLoop(benchmark::State &state, os::coherence::ProtocolKind proto)
@@ -412,6 +419,7 @@ dsmFaultLoop(benchmark::State &state, os::coherence::ProtocolKind proto)
     cfg.dsmProtocol = proto;
     os::K2System sys(cfg);
     auto &proc = sys.createProcess("bench");
+    sys.ownedEngine().run(); // boot outside the timed loop
 
     std::uint64_t completed = 0;
     int round = 0;
@@ -442,7 +450,9 @@ dsmFaultLoop(benchmark::State &state, os::coherence::ProtocolKind proto)
     {                                                                   \
         dsmFaultLoop(state, os::coherence::ProtocolKind::kind);         \
     }                                                                   \
-    BENCHMARK(BM_DsmFault_##name)
+    BENCHMARK(BM_DsmFault_##name)->Iterations(1000);                    \
+    BENCHMARK(BM_DsmFault_##name)->Iterations(20000);                   \
+    BENCHMARK(BM_DsmFault_##name)->Iterations(100000)
 
 K2_DSM_FAULT_BENCH(2state, TwoState);
 K2_DSM_FAULT_BENCH(3state, ThreeState);

@@ -120,6 +120,33 @@ python3 -m json.tool "$OBS_DIR/metrics.json" >/dev/null
 python3 -m json.tool "$OBS_DIR/trace.json" >/dev/null
 echo "observability smoke: metrics + trace JSON OK"
 
+# Memory soak: reaped threads are freed, so a long episode chain must
+# run in bounded memory. The only state that grows with the episode
+# count by design is testbed's own per-episode table (~250 B a row,
+# held as strings and rendered text), so the 100k-episode run may
+# exceed the 1k run's peak RSS by at most 4 MB plus 300 B per extra
+# episode (~32 MB). A thread that outlives its reap (~1 KB each)
+# grows it by ~100 MB and fails. Skipped under ASan: its quarantine
+# keeps freed blocks resident, so RSS there does not track live memory
+# (LeakSanitizer covers leaks instead).
+if [ "$MODE" != "--asan" ]; then
+    python3 - "$BUILD_DIR"/src/workloads/testbed <<'EOF'
+import resource, subprocess, sys
+def peak_kb(episodes):
+    subprocess.run([sys.argv[1], f"--episodes={episodes}"],
+                   stdout=subprocess.DEVNULL, check=True)
+    # Max over all children so far; the runs go small to large.
+    return resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
+small, large = peak_kb(1000), peak_kb(100000)
+growth_mb = (large - small) / 1024
+bound_mb = 4 + 300 * 99000 / 2**20
+print(f"memory soak: peak RSS {small / 1024:.1f} MB at 1k episodes, "
+      f"{large / 1024:.1f} MB at 100k (bound +{bound_mb:.1f} MB)")
+assert growth_mb <= bound_mb, \
+    f"RSS grew {growth_mb:.1f} MB over 99k episodes (bound {bound_mb:.1f})"
+EOF
+fi
+
 # Fault-injection smoke: the same scenario under a lossy mailbox must
 # still complete, with the ARQ shim actually recovering dropped mail
 # (retransmits > 0, no giveups). Both runs are deterministic, so these

@@ -69,7 +69,9 @@ class Kernel
      * @param name Thread name.
      * @param kind Normal or NightWatch.
      * @param body The thread's simulated code.
-     * @return Borrowed pointer; the kernel owns the thread.
+     * @return Borrowed pointer; the kernel owns the thread and frees
+     *         it when the scheduler reaps it, so the pointer is valid
+     *         only until the body has finished.
      */
     Thread *spawnThread(Process *proc, std::string name, ThreadKind kind,
                         Thread::Body body);
@@ -139,21 +141,26 @@ class Kernel
 
     /** @} */
 
-    /** Threads created so far (for tests / teardown). */
+    /** Live (not yet reaped) threads, in spawn order. */
     const std::vector<std::unique_ptr<Thread>> &threads() const
     {
         return threads_;
     }
 
     /**
-     * Capture/restore the kernel: the thread table (pruned back to the
-     * captured prefix; post-capture threads must already be Done and
-     * reaped), every thread's semantic state, the scheduler, and the
-     * page allocator.
+     * Capture/restore the kernel: the live thread table (verified by
+     * tid; threads spawned after the capture must have been reaped),
+     * every live thread's semantic state, the scheduler, and the page
+     * allocator.
      */
     void snapState(snap::Io &io);
 
   private:
+    friend class Scheduler;
+
+    /** Free a Done thread: drop it from both tables, then delete it. */
+    void reap(Thread &t);
+
     sim::Task<void> mailboxIsr(soc::Core &core);
 
     soc::Soc &soc_;

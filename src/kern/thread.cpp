@@ -10,12 +10,20 @@
 namespace k2 {
 namespace kern {
 
-std::size_t
-Process::numNightWatch() const
+void
+Process::addThread(Thread *t)
 {
-    return static_cast<std::size_t>(
-        std::count_if(threads_.begin(), threads_.end(),
-                      [](const Thread *t) { return t->isNightWatch(); }));
+    threads_.push_back(t);
+    if (t->isNightWatch())
+        ++nightWatch_;
+}
+
+void
+Process::removeThread(Thread *t)
+{
+    auto it = std::find(threads_.begin(), threads_.end(), t);
+    K2_ASSERT(it != threads_.end());
+    threads_.erase(it);
 }
 
 void
@@ -32,11 +40,8 @@ void
 Process::snapState(snap::Io &io)
 {
     io.check(pid_, "Process::pid");
-    std::uint64_t n = io.count(threads_.size());
-    if (io.restoring()) {
-        K2_ASSERT(n <= threads_.size());
-        threads_.resize(static_cast<std::size_t>(n));
-    }
+    io.pod(nightWatch_);
+    io.check(threads_.size(), "Process::threads");
     for (Thread *t : threads_)
         io.check(t->tid(), "Process::thread");
 }

@@ -8,6 +8,12 @@
  * `co_await t->dispatch()` resumes the thread where it parked; blocking
  * operations inside the body `co_await park()` to hand the core back.
  *
+ * Lifetime: the owning Kernel frees a thread as soon as the
+ * scheduler reaps it (the core loop that ran its last slice). A
+ * Thread pointer or reference is valid only until then; to observe
+ * completion from outside, wait on doneEvent() while the thread is
+ * still alive.
+ *
  * Inside a body, all interaction with the platform goes through the
  * Thread's context methods (exec, execTime, sleep, wait, yield), which
  * charge time/energy to the current core and cooperate with the
@@ -52,16 +58,21 @@ class Process
     Pid pid() const { return pid_; }
     const std::string &name() const { return name_; }
 
+    /** Live threads of this process, in spawn order. */
     const std::vector<Thread *> &threads() const { return threads_; }
-    void addThread(Thread *t) { threads_.push_back(t); }
-
-    /** Number of NightWatch threads in this process. */
-    std::size_t numNightWatch() const;
+    void addThread(Thread *t);
+    /** Drop a reaped thread (its kernel is about to free it). */
+    void removeThread(Thread *t);
 
     /**
-     * Prune the thread list back to the captured prefix (threads
-     * created after the capture point must already be Done and are
-     * dropped; the prefix is verified by tid).
+     * Number of NightWatch threads ever added to this process,
+     * exited ones included. O(1): counted in addThread().
+     */
+    std::size_t numNightWatch() const { return nightWatch_; }
+
+    /**
+     * Capture/restore the NightWatch count; the live thread list is
+     * structural and verified by tid.
      */
     void snapState(snap::Io &io);
 
@@ -69,6 +80,7 @@ class Process
     Pid pid_;
     std::string name_;
     std::vector<Thread *> threads_;
+    std::uint64_t nightWatch_ = 0;
 };
 
 class Thread
@@ -170,9 +182,6 @@ class Thread
     /** True while a preemption/suspension check should park. */
     bool shouldPark() const;
 
-    /** Destroy the parked coroutine frame of a Done thread. */
-    void reap();
-
     /** @} */
 
     /**
@@ -184,7 +193,11 @@ class Thread
     void snapState(snap::Io &io);
 
   private:
+    friend class Kernel;
     friend class Scheduler;
+
+    /** Destroy the parked coroutine frame of a Done thread. */
+    void reap();
 
     /** Awaitable used inside the body: hand the core back. */
     auto

@@ -16,13 +16,14 @@
  * Preconditions (asserted by the component snapState methods):
  *  - The engine is quiescent: Engine::run() returned, the event heap
  *    is empty and no live records remain. All scheduler core loops are
- *    parked, all threads are Blocked or Done, no DSM fault, DMA
- *    transfer, or reliable-mail exchange is in flight.
+ *    parked, every live thread is Blocked (Done threads have been
+ *    reaped and freed), no DSM fault, DMA transfer, or reliable-mail
+ *    exchange is in flight.
  *  - Restore targets the instance the snapshot was captured from (or
  *    one whose structural history extends it): objects that only ever
- *    grow (kernel thread tables, processes, DSM page infos, tracer
- *    tracks) are pruned back to the captured prefix; they are never
- *    recreated from bytes.
+ *    grow (processes, DSM page infos, tracer tracks) are pruned back
+ *    to the captured prefix, and the live thread tables must match
+ *    the captured ones by tid; none of them is recreated from bytes.
  *
  * See DESIGN.md §10 for the full model.
  */

@@ -49,10 +49,20 @@ TEST_F(KernTest, ThreadRunsAndCompletes)
             co_await self.exec(350000); // 1 ms at 350 MHz
             ++steps;
         });
+    // A reaped thread is freed, so observe its completion through its
+    // done event, waited on while the worker is still alive.
+    sim::Time doneAt = 0;
+    kernel.spawnThread(&proc, "joiner", ThreadKind::Normal,
+                       [&, t](Thread &self) -> Task<void> {
+                           co_await self.wait(t->doneEvent());
+                           doneAt = eng.now();
+                       });
     eng.run(sim::msec(10));
-    EXPECT_TRUE(t->done());
     EXPECT_EQ(steps, 2);
-    EXPECT_TRUE(t->doneEvent().isSet());
+    EXPECT_GE(doneAt, sim::msec(1));
+    // Both threads were reaped and freed: t is no longer in the table.
+    EXPECT_TRUE(kernel.threads().empty());
+    EXPECT_TRUE(proc.threads().empty());
     // Active time: context switch + 1 ms of work.
     EXPECT_GE(soc.domain(soc::kStrongDomain).core(0).activeTime() +
                   soc.domain(soc::kStrongDomain).core(1).activeTime(),
