@@ -5,7 +5,8 @@
 #
 # With --asan, builds into build-asan/ with AddressSanitizer + UBSan
 # (-DK2_SANITIZE=ON); this continuously checks the engine's manual
-# event-pool allocator for lifetime bugs.
+# event-pool allocator for lifetime bugs, in the tests and in the
+# engine rows of micro_sim.
 #
 # With --tsan, builds into build-tsan/ with ThreadSanitizer
 # (-DK2_SANITIZE=thread) and runs the tests that exercise host-thread
@@ -108,6 +109,20 @@ if [ "$MODE" = "--tsan" ]; then
 fi
 
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j"$(nproc)"
+
+# Under ASan, also drive the engine's event-pool paths the way the
+# micro benchmarks do (arm, cancel and re-arm around sleeps included):
+# any sanitizer report or leak makes micro_sim exit non-zero, and its
+# table must still list every row.
+if [ "$MODE" = "--asan" ]; then
+    ENGINE_ROWS='BM_SleepResume|BM_TimerArmCancel'
+    ENGINE_ROWS+='|BM_TimerRearmUnderSleeps|BM_EngineEventDispatch'
+    "$BUILD_DIR"/bench/micro_sim --benchmark_filter="$ENGINE_ROWS" \
+        --benchmark_min_time=0.05 > "$BUILD_DIR/asan-engine-bench.txt"
+    test "$(grep -cE "^($ENGINE_ROWS) " \
+        "$BUILD_DIR/asan-engine-bench.txt")" -eq 4
+    echo "asan engine bench: 4 rows, no sanitizer report"
+fi
 
 # Observability smoke: one short testbed run must emit a metrics
 # snapshot and a Chrome trace that both parse as JSON.

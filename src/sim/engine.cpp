@@ -11,11 +11,8 @@ Engine::~Engine()
 {
     // Destroy payloads of events still pending at teardown (coroutine
     // frames are owned elsewhere; callables are destroyed in place).
-    for (const HeapEntry &e : heap_) {
-        Record &r = rec(e.slot);
-        if (r.gen == e.gen && r.kind != Record::Kind::Free)
-            destroyPayload(r);
-    }
+    for (const HeapEntry &e : heap_)
+        destroyPayload(rec(e.slot));
 }
 
 Engine::Slot
@@ -35,8 +32,7 @@ Engine::allocSlot(Time when)
         slot = allocatedSlots_++;
     }
     Record &r = rec(slot);
-    heapPush(HeapEntry{when, seq_++, slot, r.gen});
-    ++live_;
+    heapPush(HeapEntry{when, seq_++, slot});
     return Slot{&r, slot};
 }
 
@@ -48,7 +44,6 @@ Engine::freeSlot(std::uint32_t slot, Record &r)
     r.manager = nullptr;
     r.nextFree = freeHead_;
     freeHead_ = slot;
-    --live_;
 }
 
 void
@@ -76,14 +71,9 @@ Engine::cancel(EventId &id)
     if (id.slot_ != EventId::kInvalidSlot && id.slot_ < allocatedSlots_) {
         Record &r = rec(id.slot_);
         if (r.gen == id.gen_ && r.kind != Record::Kind::Free) {
+            heapRemove(r.heapPos);
             destroyPayload(r);
             freeSlot(id.slot_, r);
-            // The heap entry stays behind and is dropped (by its stale
-            // generation) when it reaches the top, or swept out by
-            // compaction once stale entries dominate.
-            ++staleEntries_;
-            if (staleEntries_ > 64 && staleEntries_ * 2 > heap_.size())
-                compactHeap();
         }
     }
     id = EventId();
@@ -112,23 +102,41 @@ void
 Engine::heapPush(const HeapEntry &e)
 {
     heap_.push_back(e);
-    std::size_t i = heap_.size() - 1;
-    while (i > 0) {
-        const std::size_t parent = (i - 1) >> 2;
-        if (!earlier(heap_[i], heap_[parent]))
-            break;
-        std::swap(heap_[i], heap_[parent]);
-        i = parent;
-    }
+    siftUp(heap_.size() - 1, e);
 }
 
 void
-Engine::siftDown(std::size_t i)
+Engine::heapRemove(std::size_t i)
 {
-    // Move heap_[i] down in place until both it and all four children
-    // satisfy the heap order (no repeated swaps; one write per level).
+    const HeapEntry last = heap_.back();
+    heap_.pop_back();
+    if (i == heap_.size())
+        return;
+    if (i > 0 && earlier(last, heap_[(i - 1) >> 2]))
+        siftUp(i, last);
+    else
+        siftDown(i, last);
+}
+
+void
+Engine::siftUp(std::size_t i, const HeapEntry &moved)
+{
+    while (i > 0) {
+        const std::size_t parent = (i - 1) >> 2;
+        if (!earlier(moved, heap_[parent]))
+            break;
+        place(i, heap_[parent]);
+        i = parent;
+    }
+    place(i, moved);
+}
+
+void
+Engine::siftDown(std::size_t i, const HeapEntry &moved)
+{
+    // Move `moved` down from hole i until all four children of its
+    // final position are later (one write per level, no swaps).
     const std::size_t n = heap_.size();
-    const HeapEntry moved = heap_[i];
     for (;;) {
         const std::size_t first = (i << 2) + 1;
         if (first >= n)
@@ -141,36 +149,10 @@ Engine::siftDown(std::size_t i)
         }
         if (!earlier(heap_[best], moved))
             break;
-        heap_[i] = heap_[best];
+        place(i, heap_[best]);
         i = best;
     }
-    heap_[i] = moved;
-}
-
-void
-Engine::heapPopTop()
-{
-    heap_[0] = heap_.back();
-    heap_.pop_back();
-    if (heap_.size() > 1)
-        siftDown(0);
-}
-
-void
-Engine::compactHeap()
-{
-    std::size_t keep = 0;
-    for (const HeapEntry &e : heap_) {
-        if (rec(e.slot).gen == e.gen)
-            heap_[keep++] = e;
-    }
-    heap_.resize(keep);
-    staleEntries_ = 0;
-    if (keep > 1) {
-        // Floyd heapify: sift down every internal node.
-        for (std::size_t i = (keep - 2) / 4 + 1; i-- > 0;)
-            siftDown(i);
-    }
+    place(i, moved);
 }
 
 void
@@ -210,31 +192,23 @@ Engine::dispatch(std::uint32_t slot, Record &r)
 bool
 Engine::runOne()
 {
-    while (!heap_.empty()) {
-        const HeapEntry e = heap_[0];
-        heapPopTop();
-        Record &r = rec(e.slot);
-        if (r.gen != e.gen) {
-            // Cancelled; the slot may already be reused.
-            --staleEntries_;
-            continue;
-        }
-        now_ = e.when;
-        ++dispatched_;
-        dispatch(e.slot, r);
-        return true;
-    }
-    return false;
+    if (heap_.empty())
+        return false;
+    const HeapEntry e = heap_[0];
+    heapRemove(0);
+    now_ = e.when;
+    ++dispatched_;
+    dispatch(e.slot, rec(e.slot));
+    return true;
 }
 
 void
 Engine::snapState(snap::Io &io)
 {
-    // Quiescence: nothing pending, so the slab is entirely a free-list
-    // permutation and no payload/coroutine serialisation is needed.
+    // Quiescence: the heap holds exactly the live events, so an empty
+    // heap means the slab is entirely a free-list permutation and no
+    // payload/coroutine serialisation is needed.
     K2_ASSERT(heap_.empty());
-    K2_ASSERT(live_ == 0);
-    K2_ASSERT(staleEntries_ == 0);
 
     io.pod(now_);
     io.pod(seq_);
@@ -277,18 +251,8 @@ std::uint64_t
 Engine::run(Time until)
 {
     std::uint64_t n = 0;
-    while (!heap_.empty()) {
-        // Drop cancelled entries without advancing time.
-        const HeapEntry &top = heap_[0];
-        if (rec(top.slot).gen != top.gen) {
-            heapPopTop();
-            --staleEntries_;
-            continue;
-        }
-        if (top.when > until)
-            break;
-        if (!runOne())
-            break;
+    while (!heap_.empty() && heap_[0].when <= until) {
+        runOne();
         ++n;
     }
     if (until != kTimeNever && now_ < until)

@@ -20,10 +20,11 @@
  *    inline small-buffer callable for typical device-model lambdas
  *    (up to kInlineCapture bytes of capture, no heap), or an
  *    out-of-line fallback for large captures.
- *  - Pending events sit in an engine-owned 4-ary min-heap of small POD
- *    entries; pop-min moves entries in place (no copy-out of a
- *    type-erased callback) and cancelled entries are dropped as soon
- *    as they surface at the top.
+ *  - Pending events sit in an engine-owned, indexed 4-ary min-heap of
+ *    small POD entries. Each record knows its heap position, so
+ *    cancel() removes its entry in O(log n) and the heap holds exactly
+ *    the live events; pop-min moves entries in place (no copy-out of a
+ *    type-erased callback).
  */
 
 #ifndef K2_SIM_ENGINE_H
@@ -127,7 +128,7 @@ class Engine
         } catch (...) {
             // The capture's copy/move or the heap allocation threw;
             // unschedule the already-queued record.
-            ++staleEntries_;
+            heapRemove(s.rec->heapPos);
             freeSlot(s.slot, *s.rec);
             throw;
         }
@@ -204,7 +205,7 @@ class Engine
     std::uint64_t eventsDispatched() const { return dispatched_; }
 
     /** Number of live (not cancelled) pending events. */
-    std::size_t pendingEvents() const { return live_; }
+    std::size_t pendingEvents() const { return heap_.size(); }
 
     /** Total event-record slots ever allocated (pool high-water). */
     std::size_t poolCapacity() const { return allocatedSlots_; }
@@ -216,8 +217,9 @@ class Engine
     /**
      * Capture/restore the engine's state (snap::Snapshot).
      *
-     * Precondition both ways: quiescent -- the event heap is empty and
-     * no live records exist, so the slab is one free-list permutation.
+     * Precondition both ways: quiescent -- the event heap (which holds
+     * exactly the live records) is empty, so the slab is one free-list
+     * permutation and no heap position needs saving.
      * Restore rewrites the clock, the dispatch/sequence counters, the
      * tracer, and the exact slot-generation + free-list chain, so a
      * rewound engine hands out byte-identical EventIds to a cold one.
@@ -294,7 +296,8 @@ class Engine
     using Manager = void (*)(CbOp op, void *obj, void *dst);
 
     /** One pooled event record. Slots are recycled through a free
-     *  list; gen disambiguates incarnations of the same slot. */
+     *  list; gen disambiguates incarnations of the same slot, and
+     *  heapPos is the pending record's index in heap_. */
     struct Record
     {
         enum class Kind : std::uint8_t
@@ -320,6 +323,7 @@ class Engine
         Manager manager = nullptr;
         std::uint32_t gen = 0;
         std::uint32_t nextFree = EventId::kInvalidSlot;
+        std::uint32_t heapPos = 0;
         Kind kind = Kind::Free;
     };
 
@@ -329,7 +333,6 @@ class Engine
         Time when;
         std::uint64_t seq;
         std::uint32_t slot;
-        std::uint32_t gen;
     };
 
     struct Slot
@@ -412,14 +415,20 @@ class Engine
         return a.seq < b.seq;
     }
 
-    void heapPush(const HeapEntry &e);
-    void heapPopTop();
-    void siftDown(std::size_t i);
+    /** Store @p e at heap index @p i and record the index in its
+     *  slot, so cancel() can find the entry. */
+    void
+    place(std::size_t i, const HeapEntry &e)
+    {
+        heap_[i] = e;
+        rec(e.slot).heapPos = static_cast<std::uint32_t>(i);
+    }
 
-    /** Rebuild the heap without its cancelled (stale) entries. Called
-     *  when they outnumber the live ones, so a cancel-heavy workload
-     *  (timer re-arming) cannot grow the queue unboundedly. */
-    void compactHeap();
+    void heapPush(const HeapEntry &e);
+    /** Remove the entry at index @p i (the last one moves in). */
+    void heapRemove(std::size_t i);
+    void siftUp(std::size_t i, const HeapEntry &moved);
+    void siftDown(std::size_t i, const HeapEntry &moved);
 
     static constexpr std::uint32_t kChunkShift = 8;
     static constexpr std::uint32_t kChunkSize = 1u << kChunkShift;
@@ -427,8 +436,6 @@ class Engine
     Time now_ = 0;
     std::uint64_t seq_ = 0;
     std::uint64_t dispatched_ = 0;
-    std::size_t live_ = 0;
-    std::size_t staleEntries_ = 0;
     Tracer tracer_;
     std::vector<HeapEntry> heap_;
     std::vector<std::unique_ptr<Record[]>> chunks_;

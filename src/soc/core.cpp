@@ -202,8 +202,10 @@ Core::snapState(snap::Io &io)
     io.pod(busyCount_);
     io.pod(waking_);
     wakeDone_.snapState(io);
-    // The (stale at quiescence) timer handle participates in the next
-    // cancel()'s generation comparison, so restore it bit-exactly.
+    // At quiescence the timer has fired or been cancelled, so this
+    // handle is stale. The next cancel() still compares its generation
+    // with the restored slot table and, on a match, removes that
+    // slot's heap entry, so restore it bit-exactly.
     io.pod(inactiveTimer_);
     io.pod(idleEpoch_);
     io.pod(lastThreadActivity_);
