@@ -24,7 +24,6 @@
 #include "workloads/report.h"
 #include "workloads/sweep.h"
 #include "workloads/testbed.h"
-#include "workloads/warm.h"
 
 namespace {
 
@@ -35,14 +34,11 @@ using sim::Task;
 
 /** Mean weak-kernel fault latency under ping-pong. */
 double
-faultUs(wl::SweepMode sweep, const std::string &key,
-        const std::function<os::K2Config()> &mk)
+faultUs(os::K2Config cfg)
 {
-    auto &sys = wl::warmFixture<os::K2System>(sweep, key, [&mk] {
-        os::K2Config cfg = mk();
-        cfg.soc.costs.inactiveTimeout = 0;
-        return std::make_unique<os::K2System>(std::move(cfg));
-    });
+    cfg.soc.costs.inactiveTimeout = 0;
+    os::K2System sys(std::move(cfg));
+    sys.ownedEngine().run(); // Let the boot daemons park first.
     auto &proc = sys.createProcess("bench");
     for (int round = 0; round < 20; ++round) {
         kern::Kernel &kern = (round % 2 == 0) ? sys.shadowKernel()
@@ -60,15 +56,12 @@ faultUs(wl::SweepMode sweep, const std::string &key,
 
 /** Mean read-mostly three-state access latency. */
 double
-readShareUs(wl::SweepMode sweep, const std::string &key,
-            const std::function<os::K2Config()> &mk)
+readShareUs(os::K2Config cfg)
 {
-    auto &sys = wl::warmFixture<os::K2System>(sweep, key, [&mk] {
-        os::K2Config cfg = mk();
-        cfg.soc.costs.inactiveTimeout = 0;
-        cfg.dsmProtocol = os::coherence::ProtocolKind::ThreeState;
-        return std::make_unique<os::K2System>(std::move(cfg));
-    });
+    cfg.soc.costs.inactiveTimeout = 0;
+    cfg.dsmProtocol = os::coherence::ProtocolKind::ThreeState;
+    os::K2System sys(std::move(cfg));
+    sys.ownedEngine().run();
     auto &proc = sys.createProcess("bench");
     sim::Duration total = 0;
     constexpr int kRounds = 32;
@@ -91,10 +84,9 @@ readShareUs(wl::SweepMode sweep, const std::string &key,
 
 /** MB/J of the small DMA episode. */
 double
-episodeMbPerJoule(wl::SweepMode sweep, const std::string &key,
-                  const std::function<os::K2Config()> &mk)
+episodeMbPerJoule(os::K2Config cfg)
 {
-    auto &tb = wl::warmK2(sweep, key, mk);
+    wl::Testbed tb = wl::Testbed::makeK2(std::move(cfg));
     return wl::runEpisodeWarm(tb.sys(), tb.proc(), "dma",
                               wl::dmaCopy(tb.dma(), 4096, 256 * 1024))
         .mbPerJoule();
@@ -106,7 +98,8 @@ int
 main(int argc, char **argv)
 {
     const unsigned jobs = wl::parseJobsFlag(argc, argv);
-    const wl::SweepMode sweep = wl::parseSweepFlag(argc, argv);
+    if (wl::unknownArgs(argc, argv))
+        return 2;
 
     wl::banner("Ablation (§11): the architectural features K2 wishes "
                "for");
@@ -118,44 +111,29 @@ main(int argc, char **argv)
     double mmu_today = 0, mmu_with = 0;
     double pw_today = 0, pw_with = 0;
 
-    runner.submit([&ch_today, sweep]() {
-        ch_today = faultUs(sweep, "ch-today",
-                           [] { return os::K2Config{}; });
+    runner.submit([&ch_today]() { ch_today = faultUs({}); });
+    runner.submit([&ch_with]() {
+        os::K2Config direct;
+        direct.soc.costs.mailboxOneWay = sim::nsec(250);
+        ch_with = faultUs(std::move(direct));
     });
-    runner.submit([&ch_with, sweep]() {
-        ch_with = faultUs(sweep, "ch-direct", [] {
-            os::K2Config direct;
-            direct.soc.costs.mailboxOneWay = sim::nsec(250);
-            return direct;
-        });
+    runner.submit([&mmu_today]() { mmu_today = readShareUs({}); });
+    runner.submit([&mmu_with]() {
+        os::K2Config mmu;
+        mmu.soc.domains[soc::kWeakDomain].core.mmu =
+            soc::MmuKind::SingleLevel;
+        mmu.soc.domains[soc::kWeakDomain].core.l1TlbEntries = 32;
+        mmu_with = readShareUs(std::move(mmu));
     });
-    runner.submit([&mmu_today, sweep]() {
-        mmu_today = readShareUs(sweep, "mmu-today",
-                                [] { return os::K2Config{}; });
-    });
-    runner.submit([&mmu_with, sweep]() {
-        mmu_with = readShareUs(sweep, "mmu-eff", [] {
-            os::K2Config mmu;
-            mmu.soc.domains[soc::kWeakDomain].core.mmu =
-                soc::MmuKind::SingleLevel;
-            mmu.soc.domains[soc::kWeakDomain].core.l1TlbEntries = 32;
-            return mmu;
-        });
-    });
-    runner.submit([&pw_today, sweep]() {
-        pw_today = episodeMbPerJoule(sweep, "pw-today",
-                                     [] { return os::K2Config{}; });
-    });
-    runner.submit([&pw_with, sweep]() {
-        pw_with = episodeMbPerJoule(sweep, "pw-fine", [] {
-            os::K2Config fine;
-            // Finer-grained power domains: the strong uncore gates
-            // with its cores instead of burning whenever the SoC is
-            // up, and the weak domain's rail can drop its share too.
-            fine.soc.domains[soc::kStrongDomain].uncoreActiveMw = 4.0;
-            fine.soc.domains[soc::kWeakDomain].uncoreActiveMw = 0.4;
-            return fine;
-        });
+    runner.submit([&pw_today]() { pw_today = episodeMbPerJoule({}); });
+    runner.submit([&pw_with]() {
+        os::K2Config fine;
+        // Finer-grained power domains: the strong uncore gates with
+        // its cores instead of burning whenever the SoC is up, and
+        // the weak domain's rail can drop its share too.
+        fine.soc.domains[soc::kStrongDomain].uncoreActiveMw = 4.0;
+        fine.soc.domains[soc::kWeakDomain].uncoreActiveMw = 0.4;
+        pw_with = episodeMbPerJoule(std::move(fine));
     });
     runner.run();
 

@@ -17,7 +17,7 @@
  * Table-5-style fault phase split (entry / protocol / communication /
  * service / exit), messages per fault, and the SoC energy drawn.
  *
- *   ablation_dsm_protocol [--jobs=N] [--sweep=warm|cold] [--dsm=PROTO]
+ *   ablation_dsm_protocol [--jobs=N] [--dsm=PROTO]
  *
  * --dsm restricts the sweep to one protocol (default: all five).
  */
@@ -30,7 +30,6 @@
 #include "workloads/dsm_rig.h"
 #include "workloads/report.h"
 #include "workloads/sweep.h"
-#include "workloads/warm.h"
 
 namespace {
 
@@ -127,18 +126,11 @@ struct Row
 };
 
 void
-runCell(wl::SweepMode sweep, os::coherence::ProtocolKind proto,
-        const Pattern &pattern, std::size_t domains, Row &out)
+runCell(os::coherence::ProtocolKind proto, const Pattern &pattern,
+        std::size_t domains, Row &out)
 {
-    // Cells that share (protocol, domains) share a warm master; each
-    // restores to the post-boot image before running its pattern.
-    const std::string key =
-        std::string("nd:") + os::coherence::protocolName(proto) + ":" +
-        std::to_string(domains);
-    auto &fx = wl::warmFixture<wl::DsmRig>(
-        sweep, key, [domains, proto] {
-            return std::make_unique<wl::DsmRig>(domains, proto);
-        });
+    wl::DsmRig fx(domains, proto);
+    fx.eng.run(); // Let the boot daemons park first.
 
     const std::uint64_t msgs0 = fx.dsm->messagesSent();
     const soc::EnergyMeter::Snapshot e0 = fx.soc->meter().snapshot();
@@ -177,9 +169,10 @@ int
 main(int argc, char **argv)
 {
     const unsigned jobs = wl::parseJobsFlag(argc, argv);
-    const wl::SweepMode sweep = wl::parseSweepFlag(argc, argv);
     auto only = os::coherence::ProtocolKind::TwoState;
     const bool filtered = wl::parseDsmFlag(argc, argv, only);
+    if (wl::unknownArgs(argc, argv))
+        return 2;
 
     wl::banner("Ablation (§6.3/§11): DSM protocol zoo x sharing "
                "pattern x domains");
@@ -201,8 +194,8 @@ main(int argc, char **argv)
         for (const Pattern &pattern : kPatterns) {
             for (std::size_t n : domain_counts) {
                 Row &slot = rows[cell++];
-                runner.submit([&slot, proto, &pattern, n, sweep]() {
-                    runCell(sweep, proto, pattern, n, slot);
+                runner.submit([&slot, proto, &pattern, n]() {
+                    runCell(proto, pattern, n, slot);
                 });
             }
         }

@@ -60,7 +60,6 @@
 #include "workloads/report.h"
 #include "workloads/sweep.h"
 #include "workloads/testbed.h"
-#include "workloads/warm.h"
 
 namespace {
 
@@ -186,17 +185,11 @@ histMean(const obs::MetricsSnapshot &snap, const std::string &name)
 }
 
 void
-runCase(wl::SweepMode sweep, const std::string &key, WorkloadKind wk,
-        const std::function<fault::FaultPlan()> &plan, Cell &out)
+runCase(WorkloadKind wk, fault::FaultPlan plan, Cell &out)
 {
-    // Cells sharing a fault plan share the pooled fixture; restore
-    // rewinds the injector's RNG streams and one-shot trigger state,
-    // so each cell sees the same fault sequence a cold boot would.
-    auto &tb = wl::warmK2(sweep, key, [&plan] {
-        os::K2Config cfg;
-        cfg.faults = plan();
-        return cfg;
-    });
+    os::K2Config cfg;
+    cfg.faults = std::move(plan);
+    wl::Testbed tb = wl::Testbed::makeK2(std::move(cfg));
     obs::MetricsRegistry reg;
     tb.registerMetrics(reg);
 
@@ -260,18 +253,13 @@ struct ReplicaCell
 };
 
 void
-runReplicaCase(wl::SweepMode sweep, std::size_t n, bool crash,
-               ReplicaCell &out)
+runReplicaCase(std::size_t n, bool crash, ReplicaCell &out)
 {
-    const std::string key = "k2-replicas-" + std::to_string(n) +
-                            (crash ? "-crash" : "");
-    auto &tb = wl::warmK2(sweep, key, [n, crash] {
-        os::K2Config cfg;
-        cfg.replicas = n;
-        if (crash)
-            cfg.faults = crashPlan();
-        return cfg;
-    });
+    os::K2Config cfg;
+    cfg.replicas = n;
+    if (crash)
+        cfg.faults = crashPlan();
+    wl::Testbed tb = wl::Testbed::makeK2(std::move(cfg));
     obs::MetricsRegistry reg;
     tb.registerMetrics(reg);
 
@@ -369,7 +357,8 @@ int
 main(int argc, char **argv)
 {
     const unsigned jobs = wl::parseJobsFlag(argc, argv);
-    const wl::SweepMode sweep = wl::parseSweepFlag(argc, argv);
+    if (wl::unknownArgs(argc, argv))
+        return 2;
 
     wl::banner("Fault-tolerance ablation: fault rate x workload");
     std::printf("%d measured episodes per cell (1 warmup discarded, "
@@ -389,18 +378,13 @@ main(int argc, char **argv)
         for (std::size_t r = 0; r < kNumRates; ++r) {
             Cell *cell = &cells[w * kNumRates + r];
             const double rate = kRates[r];
-            const std::string key =
-                std::string("k2-rate-") + kRateLabels[r];
-            runner.submit([wk, rate, cell, key, sweep]() {
-                runCase(sweep, key, wk,
-                        [rate] { return mixAtRate(rate); }, *cell);
+            runner.submit([wk, rate, cell]() {
+                runCase(wk, mixAtRate(rate), *cell);
             });
         }
         Cell *cell = &crashCells[w];
-        runner.submit([wk, cell, sweep]() {
-            runCase(sweep, "k2-crash", wk,
-                    [] { return crashPlan(); }, *cell);
-        });
+        runner.submit(
+            [wk, cell]() { runCase(wk, crashPlan(), *cell); });
     }
     constexpr std::size_t kNumDegrees = std::size(kReplicaDegrees);
     std::vector<ReplicaCell> replicaCells(kNumDegrees * 2);
@@ -408,8 +392,8 @@ main(int argc, char **argv)
         for (int crash = 0; crash < 2; ++crash) {
             ReplicaCell *cell = &replicaCells[d * 2 + crash];
             const std::size_t n = kReplicaDegrees[d];
-            runner.submit([n, crash, cell, sweep]() {
-                runReplicaCase(sweep, n, crash != 0, *cell);
+            runner.submit([n, crash, cell]() {
+                runReplicaCase(n, crash != 0, *cell);
             });
         }
     }

@@ -17,7 +17,6 @@
 #include "baseline/shared_alloc_system.h"
 #include "workloads/report.h"
 #include "workloads/sweep.h"
-#include "workloads/warm.h"
 
 namespace {
 
@@ -82,7 +81,8 @@ int
 main(int argc, char **argv)
 {
     const unsigned jobs = wl::parseJobsFlag(argc, argv);
-    const wl::SweepMode sweep = wl::parseSweepFlag(argc, argv);
+    if (wl::unknownArgs(argc, argv))
+        return 2;
 
     wl::banner("Ablation (§9.3): page allocator as a shadowed service");
 
@@ -90,23 +90,16 @@ main(int argc, char **argv)
     Outcome sh{}, in{};
 
     wl::SweepRunner runner(jobs);
-    runner.submit([&sh, sweep]() {
-        auto &shared = wl::warmFixture<baseline::SharedAllocSystem>(
-            sweep, "shared-alloc", [] {
-                os::K2Config cfg;
-                cfg.soc.costs.inactiveTimeout = 0;
-                return std::make_unique<baseline::SharedAllocSystem>(
-                    cfg);
-            });
+    os::K2Config cfg;
+    cfg.soc.costs.inactiveTimeout = 0;
+    runner.submit([&sh, cfg]() {
+        baseline::SharedAllocSystem shared(cfg);
+        shared.engine().run(); // Let the boot daemons park first.
         sh = contendedAlloc(shared, kRounds);
     });
-    runner.submit([&in, sweep]() {
-        auto &independent = wl::warmFixture<os::K2System>(
-            sweep, "k2-nogate", [] {
-                os::K2Config cfg;
-                cfg.soc.costs.inactiveTimeout = 0;
-                return std::make_unique<os::K2System>(cfg);
-            });
+    runner.submit([&in, cfg]() {
+        os::K2System independent(cfg);
+        independent.engine().run();
         in = contendedAlloc(independent, kRounds);
     });
     runner.run();

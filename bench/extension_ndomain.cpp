@@ -17,7 +17,6 @@
 #include "workloads/dsm_rig.h"
 #include "workloads/report.h"
 #include "workloads/sweep.h"
-#include "workloads/warm.h"
 
 using namespace k2;
 
@@ -25,9 +24,10 @@ int
 main(int argc, char **argv)
 {
     const unsigned jobs = wl::parseJobsFlag(argc, argv);
-    const wl::SweepMode sweep = wl::parseSweepFlag(argc, argv);
     auto dsm = os::coherence::ProtocolKind::TwoState;
     const bool dsmSet = wl::parseDsmFlag(argc, argv, dsm);
+    if (wl::unknownArgs(argc, argv))
+        return 2;
 
     wl::banner("Extension (§11): DSM across N coherence domains");
     if (dsmSet)
@@ -45,19 +45,11 @@ main(int argc, char **argv)
     // kernels + N-domain DSM.
     wl::SweepRunner runner(jobs);
     std::vector<Row> rows(std::size(domain_counts));
-    // Default protocol keeps the pre-zoo warm keys so plain
-    // invocations stay byte-identical.
-    std::string keytail;
-    if (dsm != os::coherence::ProtocolKind::TwoState)
-        keytail = std::string(":") + os::coherence::protocolName(dsm);
     for (std::size_t i = 0; i < std::size(domain_counts); ++i) {
         const std::size_t n = domain_counts[i];
-        runner.submit([&rows, &keytail, dsm, i, n, sweep]() {
-            auto &fx = wl::warmFixture<wl::DsmRig>(
-                sweep, "ndsm-" + std::to_string(n) + keytail,
-                [n, dsm] {
-                    return std::make_unique<wl::DsmRig>(n, dsm);
-                });
+        runner.submit([&rows, dsm, i, n]() {
+            wl::DsmRig fx(n, dsm);
+            fx.eng.run(); // Let the boot daemons park first.
             // Ring: each kernel in turn takes the page.
             constexpr int kRounds = 30;
             for (int r = 0; r < kRounds; ++r)

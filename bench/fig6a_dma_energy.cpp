@@ -19,7 +19,6 @@
 #include "workloads/report.h"
 #include "workloads/sweep.h"
 #include "workloads/testbed.h"
-#include "workloads/warm.h"
 
 namespace {
 
@@ -37,7 +36,8 @@ main(int argc, char **argv)
     using namespace k2;
 
     const unsigned jobs = wl::parseJobsFlag(argc, argv);
-    const wl::SweepMode sweep = wl::parseSweepFlag(argc, argv);
+    if (wl::unknownArgs(argc, argv))
+        return 2;
 
     wl::banner("Figure 6(a): DMA energy efficiency (MB/J)");
 
@@ -47,23 +47,22 @@ main(int argc, char **argv)
         {1048576, 4 * 1048576},
     };
 
-    // One sweep cell per (case, system). All cells share the default
-    // configurations, so in warm mode each worker thread boots one K2
-    // and one Linux testbed and forks every cell from those snapshots.
+    // One sweep cell per (case, system), each on a freshly booted
+    // testbed.
     wl::SweepRunner runner(jobs);
     std::vector<wl::EpisodeResult> k2res(std::size(cases));
     std::vector<wl::EpisodeResult> lxres(std::size(cases));
     for (std::size_t i = 0; i < std::size(cases); ++i) {
         const Case c = cases[i];
-        runner.submit([&k2res, i, c, sweep]() {
-            auto &tb = wl::warmK2(sweep, "k2");
+        runner.submit([&k2res, i, c]() {
+            wl::Testbed tb = wl::Testbed::makeK2();
             k2res[i] =
                 wl::runEpisodeWarm(tb.sys(), tb.proc(), "dma",
                                    wl::dmaCopy(tb.dma(), c.batch,
                                                c.total));
         });
-        runner.submit([&lxres, i, c, sweep]() {
-            auto &tb = wl::warmLinux(sweep, "linux");
+        runner.submit([&lxres, i, c]() {
+            wl::Testbed tb = wl::Testbed::makeLinux();
             lxres[i] =
                 wl::runEpisodeWarm(tb.sys(), tb.proc(), "dma",
                                    wl::dmaCopy(tb.dma(), c.batch,

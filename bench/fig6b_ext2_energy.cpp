@@ -18,7 +18,6 @@
 #include "workloads/report.h"
 #include "workloads/sweep.h"
 #include "workloads/testbed.h"
-#include "workloads/warm.h"
 
 int
 main(int argc, char **argv)
@@ -26,9 +25,10 @@ main(int argc, char **argv)
     using namespace k2;
 
     const unsigned jobs = wl::parseJobsFlag(argc, argv);
-    const wl::SweepMode sweep = wl::parseSweepFlag(argc, argv);
     auto dsm = os::coherence::ProtocolKind::TwoState;
     const bool dsmSet = wl::parseDsmFlag(argc, argv, dsm);
+    if (wl::unknownArgs(argc, argv))
+        return 2;
 
     wl::banner("Figure 6(b): ext2 energy efficiency (MB/J), "
                "8 files per run");
@@ -40,28 +40,20 @@ main(int argc, char **argv)
     const char *labels[] = {"1KB (emails)", "256KB (pictures)",
                             "1MB (short videos)"};
 
-    // Default protocol keeps the pre-zoo warm key (and null config)
-    // so plain invocations stay byte-identical.
-    std::string k2key = "k2";
-    if (dsm != os::coherence::ProtocolKind::TwoState)
-        k2key += std::string(":") + os::coherence::protocolName(dsm);
-
     wl::SweepRunner runner(jobs);
     std::vector<wl::EpisodeResult> k2res(std::size(sizes));
     std::vector<wl::EpisodeResult> lxres(std::size(sizes));
     for (std::size_t i = 0; i < std::size(sizes); ++i) {
         const std::uint64_t size = sizes[i];
-        runner.submit([&k2res, &k2key, dsm, i, size, sweep]() {
-            auto &tb = wl::warmK2(sweep, k2key, [dsm] {
-                os::K2Config cfg;
-                cfg.dsmProtocol = dsm;
-                return cfg;
-            });
+        runner.submit([&k2res, dsm, i, size]() {
+            os::K2Config cfg;
+            cfg.dsmProtocol = dsm;
+            wl::Testbed tb = wl::Testbed::makeK2(std::move(cfg));
             k2res[i] = wl::runEpisodeWarm(tb.sys(), tb.proc(), "ext2",
                                           wl::ext2Sync(tb.fs(), size));
         });
-        runner.submit([&lxres, i, size, sweep]() {
-            auto &tb = wl::warmLinux(sweep, "linux");
+        runner.submit([&lxres, i, size]() {
+            wl::Testbed tb = wl::Testbed::makeLinux();
             lxres[i] = wl::runEpisodeWarm(tb.sys(), tb.proc(), "ext2",
                                           wl::ext2Sync(tb.fs(), size));
         });

@@ -19,7 +19,6 @@
 #include "workloads/report.h"
 #include "workloads/sweep.h"
 #include "workloads/testbed.h"
-#include "workloads/warm.h"
 
 namespace {
 
@@ -33,18 +32,6 @@ struct SdFixture
     std::unique_ptr<svc::CachedBlockDevice> cache;
     std::unique_ptr<svc::Ext2Fs> fs;
     kern::Process *proc = nullptr;
-
-    sim::Engine &engine() { return sys->engine(); }
-
-    void
-    snapState(snap::Io &io)
-    {
-        sys->snapState(io);
-        sd->snapState(io);
-        cache->snapState(io);
-        fs->snapState(io);
-        io.check(proc->pid(), "SdFixture::proc");
-    }
 };
 
 std::unique_ptr<SdFixture>
@@ -71,15 +58,12 @@ makeSdFixture(bool k2_model)
 
 /** Run the ext2 sync episode against an SD-backed filesystem. */
 double
-sdEfficiency(wl::SweepMode sweep, bool k2_model,
-             std::uint64_t file_bytes)
+sdEfficiency(bool k2_model, std::uint64_t file_bytes)
 {
-    auto &f = wl::warmFixture<SdFixture>(
-        sweep, k2_model ? "k2-sd" : "linux-sd",
-        [k2_model] { return makeSdFixture(k2_model); });
+    const std::unique_ptr<SdFixture> f = makeSdFixture(k2_model);
     const auto res =
-        wl::runEpisodeWarm(*f.sys, *f.proc, "ext2-sd",
-                           wl::ext2Sync(*f.fs, file_bytes));
+        wl::runEpisodeWarm(*f->sys, *f->proc, "ext2-sd",
+                           wl::ext2Sync(*f->fs, file_bytes));
     return res.mbPerJoule();
 }
 
@@ -89,7 +73,8 @@ int
 main(int argc, char **argv)
 {
     const unsigned jobs = wl::parseJobsFlag(argc, argv);
-    const wl::SweepMode sweep = wl::parseSweepFlag(argc, argv);
+    if (wl::unknownArgs(argc, argv))
+        return 2;
 
     wl::banner("Figure 6(b) variant: ext2 on flash (SD) instead of "
                "ramdisk");
@@ -105,22 +90,22 @@ main(int argc, char **argv)
     std::vector<double> lx_ram(std::size(sizes));
     for (std::size_t i = 0; i < std::size(sizes); ++i) {
         const std::uint64_t size = sizes[i];
-        runner.submit([&k2_sd, i, size, sweep]() {
-            k2_sd[i] = sdEfficiency(sweep, true, size);
+        runner.submit([&k2_sd, i, size]() {
+            k2_sd[i] = sdEfficiency(true, size);
         });
-        runner.submit([&lx_sd, i, size, sweep]() {
-            lx_sd[i] = sdEfficiency(sweep, false, size);
+        runner.submit([&lx_sd, i, size]() {
+            lx_sd[i] = sdEfficiency(false, size);
         });
         // Ramdisk references from the standard testbeds.
-        runner.submit([&k2_ram, i, size, sweep]() {
-            auto &tb = wl::warmK2(sweep, "k2");
+        runner.submit([&k2_ram, i, size]() {
+            wl::Testbed tb = wl::Testbed::makeK2();
             k2_ram[i] =
                 wl::runEpisodeWarm(tb.sys(), tb.proc(), "ext2",
                                    wl::ext2Sync(tb.fs(), size))
                     .mbPerJoule();
         });
-        runner.submit([&lx_ram, i, size, sweep]() {
-            auto &tb = wl::warmLinux(sweep, "linux");
+        runner.submit([&lx_ram, i, size]() {
+            wl::Testbed tb = wl::Testbed::makeLinux();
             lx_ram[i] =
                 wl::runEpisodeWarm(tb.sys(), tb.proc(), "ext2",
                                    wl::ext2Sync(tb.fs(), size))

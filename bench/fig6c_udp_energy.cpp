@@ -17,7 +17,6 @@
 #include "workloads/report.h"
 #include "workloads/sweep.h"
 #include "workloads/testbed.h"
-#include "workloads/warm.h"
 
 namespace {
 
@@ -36,7 +35,8 @@ main(int argc, char **argv)
     using namespace k2;
 
     const unsigned jobs = wl::parseJobsFlag(argc, argv);
-    const wl::SweepMode sweep = wl::parseSweepFlag(argc, argv);
+    if (wl::unknownArgs(argc, argv))
+        return 2;
 
     wl::banner("Figure 6(c): UDP loopback energy efficiency (MB/J)");
 
@@ -52,14 +52,14 @@ main(int argc, char **argv)
     std::vector<wl::EpisodeResult> lxres(std::size(cases));
     for (std::size_t i = 0; i < std::size(cases); ++i) {
         const Case c = cases[i];
-        runner.submit([&k2res, i, c, sweep]() {
-            auto &tb = wl::warmK2(sweep, "k2");
+        runner.submit([&k2res, i, c]() {
+            wl::Testbed tb = wl::Testbed::makeK2();
             k2res[i] = wl::runEpisodeWarm(
                 tb.sys(), tb.proc(), "udp",
                 wl::udpLoopback(tb.udp(), c.batch, c.total));
         });
-        runner.submit([&lxres, i, c, sweep]() {
-            auto &tb = wl::warmLinux(sweep, "linux");
+        runner.submit([&lxres, i, c]() {
+            wl::Testbed tb = wl::Testbed::makeLinux();
             lxres[i] = wl::runEpisodeWarm(
                 tb.sys(), tb.proc(), "udp",
                 wl::udpLoopback(tb.udp(), c.batch, c.total));

@@ -26,7 +26,6 @@
 #include "sim/random.h"
 #include "sim/sketch.h"
 #include "sim/sync.h"
-#include "snap/snapshot.h"
 #include "soc/mmu.h"
 #include "kern/buddy.h"
 #include "kern/kernel.h"
@@ -34,8 +33,6 @@
 #include "os/messages.h"
 #include "os/reliable_mail.h"
 #include "os/replica.h"
-#include "workloads/benchmarks.h"
-#include "workloads/episode.h"
 #include "workloads/fleet.h"
 #include "workloads/testbed.h"
 
@@ -524,84 +521,33 @@ BM_TlbLookup(benchmark::State &state)
 BENCHMARK(BM_TlbLookup);
 
 // ---------------------------------------------------------------------
-// Warm-state snapshot/fork (src/snap/). BM_TestbedBoot is the cost the
-// boot-once sweep mode amortises away; BM_SnapshotFork is what each
-// warm cell pays instead. The fork : boot ratio is the headline number
-// for the warm sweep mode (target: fork <= 10% of boot).
+// Provisioning. Every sweep cell boots its fixture cold, so a boot is
+// part of every cell's cost.
 // ---------------------------------------------------------------------
 
-/** Full cold boot: two kernels, DSM regions, mkfs on the ramdisk. */
+/**
+ * Full cold boot of a testbed: kernels, DSM regions, mkfs on the
+ * ramdisk. Arg 0 boots baseline Linux; arg N >= 1 boots K2 with N
+ * shadow replicas.
+ */
 void
 BM_TestbedBoot(benchmark::State &state)
 {
+    const auto replicas = static_cast<std::size_t>(state.range(0));
     for (auto _ : state) {
-        auto tb = wl::Testbed::makeK2();
+        os::K2Config cfg;
+        cfg.replicas = replicas;
+        auto tb = replicas == 0 ? wl::Testbed::makeLinux()
+                                : wl::Testbed::makeK2(std::move(cfg));
         tb.engine().run();
         benchmark::DoNotOptimize(tb.engine().now());
     }
 }
-BENCHMARK(BM_TestbedBoot)->Unit(benchmark::kMillisecond);
-
-/**
- * Boot plus one discarded warm-up episode: the full provisioning cost
- * a cold sweep cell pays before its measured episode, and the
- * denominator for the fork headline (BM_SnapshotFork <= 10% of this).
- * The warm-up is the fig. 6b filesystem workload at its middle size
- * (256 KB files), the kind of cell the warm pool serves.
- */
-void
-BM_TestbedBootWarm(benchmark::State &state)
-{
-    for (auto _ : state) {
-        auto tb = wl::Testbed::makeK2();
-        tb.engine().run();
-        (void)wl::runEpisodeWarm(tb.sys(), tb.proc(), "ext2",
-                                 wl::ext2Sync(tb.fs(), 256 * 1024), 0);
-        benchmark::DoNotOptimize(tb.engine().now());
-    }
-}
-BENCHMARK(BM_TestbedBootWarm)->Unit(benchmark::kMillisecond);
-
-/** Serialize a quiesced testbed into an in-memory image. */
-void
-BM_SnapshotCapture(benchmark::State &state)
-{
-    auto tb = wl::Testbed::makeK2();
-    tb.engine().run();
-    std::uint64_t bytes = 0;
-    for (auto _ : state) {
-        snap::Snapshot image = snap::Snapshot::of(tb);
-        bytes = image.sizeBytes();
-        benchmark::DoNotOptimize(image);
-    }
-    state.counters["image_bytes"] =
-        benchmark::Counter(static_cast<double>(bytes));
-}
-BENCHMARK(BM_SnapshotCapture)->Unit(benchmark::kMillisecond);
-
-/**
- * Rewind a dirty testbed to its post-boot image: the per-cell cost of
- * the warm sweep path. Each iteration dirties the instance with a DMA
- * episode (untimed) so the restore always starts from post-episode
- * state, exactly like a sweep cell.
- */
-void
-BM_SnapshotFork(benchmark::State &state)
-{
-    auto tb = wl::Testbed::makeK2();
-    tb.engine().run();
-    const snap::Snapshot image = snap::Snapshot::of(tb);
-    for (auto _ : state) {
-        state.PauseTiming();
-        (void)wl::runEpisodeWarm(tb.sys(), tb.proc(), "dma",
-                                 wl::dmaCopy(tb.dma(), 4096,
-                                             64 * 1024));
-        state.ResumeTiming();
-        image.restore(tb);
-        benchmark::DoNotOptimize(tb.engine().now());
-    }
-}
-BENCHMARK(BM_SnapshotFork)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_TestbedBoot)
+    ->Arg(0)
+    ->Arg(1)
+    ->Arg(3)
+    ->Unit(benchmark::kMillisecond);
 
 // ---------------------------------------------------------------------
 // Fleet hot path. BM_FleetDeviceHour is the fleet workload's headline:

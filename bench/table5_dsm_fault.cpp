@@ -21,6 +21,7 @@
  */
 
 #include <cstdio>
+#include <cstring>
 #include <string>
 
 #include "os/coherence/protocol.h"
@@ -112,6 +113,8 @@ main(int argc, char **argv)
 
     std::string dsm;
     wl::consumeFlag(argc, argv, "--dsm=", dsm);
+    if (wl::unknownArgs(argc, argv))
+        return 2;
 
     if (dsm.empty()) {
         // The paper's measurement, byte-identical to the pre-zoo

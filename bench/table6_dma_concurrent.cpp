@@ -25,7 +25,6 @@
 #include "workloads/report.h"
 #include "workloads/sweep.h"
 #include "workloads/testbed.h"
-#include "workloads/warm.h"
 
 namespace {
 
@@ -61,13 +60,11 @@ constexpr sim::Duration kWindow = sim::sec(2);
 
 /** Baseline Linux: one driver loop on the strong domain. */
 void
-runLinuxCase(wl::SweepMode sweep, std::uint64_t batch, Result &res)
+runLinuxCase(std::uint64_t batch, Result &res)
 {
-    auto &tb = wl::warmLinux(sweep, "linux-nogate", [] {
-        baseline::LinuxConfig cfg;
-        cfg.soc.costs.inactiveTimeout = 0;
-        return cfg;
-    });
+    baseline::LinuxConfig cfg;
+    cfg.soc.costs.inactiveTimeout = 0;
+    wl::Testbed tb = wl::Testbed::makeLinux(std::move(cfg));
     const sim::Time deadline = tb.engine().now() + kWindow;
     std::uint64_t bytes = 0;
     tb.sys().spawnNormal(tb.proc(), "dma",
@@ -82,13 +79,11 @@ runLinuxCase(wl::SweepMode sweep, std::uint64_t batch, Result &res)
 /** K2: both kernels at full speed (separate processes, so
  *  multi-domain parallelism is allowed, §4.3). */
 void
-runK2Case(wl::SweepMode sweep, std::uint64_t batch, Result &res)
+runK2Case(std::uint64_t batch, Result &res)
 {
-    auto &tb = wl::warmK2(sweep, "k2-nogate", [] {
-        os::K2Config cfg;
-        cfg.soc.costs.inactiveTimeout = 0;
-        return cfg;
-    });
+    os::K2Config cfg;
+    cfg.soc.costs.inactiveTimeout = 0;
+    wl::Testbed tb = wl::Testbed::makeK2(std::move(cfg));
     auto &proc2 = tb.sys().createProcess("shadow-load");
     const sim::Time deadline = tb.engine().now() + kWindow;
     std::uint64_t main_bytes = 0;
@@ -117,7 +112,8 @@ int
 main(int argc, char **argv)
 {
     const unsigned jobs = wl::parseJobsFlag(argc, argv);
-    const wl::SweepMode sweep = wl::parseSweepFlag(argc, argv);
+    if (wl::unknownArgs(argc, argv))
+        return 2;
 
     wl::banner("Table 6: concurrent DMA throughput (MB/s)");
 
@@ -130,11 +126,11 @@ main(int argc, char **argv)
     std::vector<Result> results(std::size(batches));
     for (std::size_t i = 0; i < std::size(batches); ++i) {
         const std::uint64_t batch = batches[i];
-        runner.submit([&results, i, batch, sweep]() {
-            runLinuxCase(sweep, batch, results[i]);
+        runner.submit([&results, i, batch]() {
+            runLinuxCase(batch, results[i]);
         });
-        runner.submit([&results, i, batch, sweep]() {
-            runK2Case(sweep, batch, results[i]);
+        runner.submit([&results, i, batch]() {
+            runK2Case(batch, results[i]);
         });
     }
     runner.run();

@@ -81,13 +81,6 @@ if [ "$MODE" = "--tsan" ]; then
     # third-party forwards to the sweep cells; race-check one under an
     # adversarial thread count.
     "$BUILD_DIR"/bench/fig6b_ext2_energy --dsm=mesi --jobs=13 >/dev/null
-    # Warm (boot-once snapshot/fork) vs cold sweeps must emit
-    # byte-identical artifacts even at an adversarial thread count.
-    "$BUILD_DIR"/bench/fig6a_dma_energy --sweep=warm --jobs=13 \
-        > "$BUILD_DIR/snap-warm.txt"
-    "$BUILD_DIR"/bench/fig6a_dma_energy --sweep=cold --jobs=13 \
-        > "$BUILD_DIR/snap-cold.txt"
-    diff "$BUILD_DIR/snap-warm.txt" "$BUILD_DIR/snap-cold.txt"
     # The fleet's streaming-reducer lanes are the newest parallel
     # surface: race-check a sharded population and its lane merges,
     # then at fleet scale -- 100k devices shard into enough cells to
@@ -104,7 +97,7 @@ if [ "$MODE" = "--tsan" ]; then
         --jobs=13 > "$BUILD_DIR/fleet-tsan-big.txt"
     "$BUILD_DIR"/src/workloads/fleet --devices=100000 --hours=1 \
         --jobs=1 | diff - "$BUILD_DIR/fleet-tsan-big.txt"
-    echo "tsan: parallel sweep tests + warm/cold identity OK"
+    echo "tsan: parallel sweep tests + sharded binaries OK"
     exit 0
 fi
 
@@ -210,58 +203,42 @@ assert v("vote_no_quorum") == 0, "a vote round failed quorum"
 assert v("live") == 3, "crashed replica not live again at exit"
 assert v("leader") != 0, "leadership never moved off the crashed replica"
 EOF
-# Replicated artifacts must stay byte-identical across shard counts
-# and warm/cold fixture modes, crash and all.
+# Replicated artifacts must stay byte-identical across shard counts,
+# crash and all.
 REP_ARGS=(--episodes=3 --runs=4 --replicas=3
           --faults="domain.crash:at=5ms:dom=1:len=2ms")
 "$BUILD_DIR"/src/workloads/testbed "${REP_ARGS[@]}" --jobs=4 \
     > "$OBS_DIR/replica_j4.txt"
 "$BUILD_DIR"/src/workloads/testbed "${REP_ARGS[@]}" --jobs=1 \
     | diff - "$OBS_DIR/replica_j4.txt"
-"$BUILD_DIR"/src/workloads/testbed "${REP_ARGS[@]}" --jobs=4 \
-    --sweep=cold | diff - "$OBS_DIR/replica_j4.txt"
 echo "replication smoke: election + handoff + rejoin re-sync +" \
      "artifact determinism OK"
 
-# Snapshot smoke: the boot-once sweep mode (snap::Snapshot fork per
-# cell) must produce byte-identical artifacts to cold boots, serial
-# and sharded. Also covers the fork/--faults interaction: the
-# injector's RNG streams rewind with the image.
-SNAP_DIR="$BUILD_DIR/snap-smoke"
-mkdir -p "$SNAP_DIR"
-for jobs in 1 4; do
-    "$BUILD_DIR"/bench/fig6a_dma_energy --sweep=warm --jobs="$jobs" \
-        > "$SNAP_DIR/warm_$jobs.txt"
-    "$BUILD_DIR"/bench/fig6a_dma_energy --sweep=cold --jobs="$jobs" \
-        > "$SNAP_DIR/cold_$jobs.txt"
-    diff "$SNAP_DIR/warm_$jobs.txt" "$SNAP_DIR/cold_$jobs.txt"
-done
-"$BUILD_DIR"/src/workloads/testbed --episodes=3 --runs=3 --sweep=warm \
-    --faults="mailbox.drop:p=0.2" > "$SNAP_DIR/warm_faults.txt"
-"$BUILD_DIR"/src/workloads/testbed --episodes=3 --runs=3 --sweep=cold \
-    --faults="mailbox.drop:p=0.2" > "$SNAP_DIR/cold_faults.txt"
-diff "$SNAP_DIR/warm_faults.txt" "$SNAP_DIR/cold_faults.txt"
-echo "snapshot smoke: warm (fork) vs cold artifacts identical"
+# Unknown flags fail loudly: a retired or misspelt flag (here the
+# retired sweep-mode flag) must stop a sweep binary with an error
+# naming it, not be silently ignored.
+if "$BUILD_DIR"/bench/fig6a_dma_energy --sweep=warm \
+    > /dev/null 2> "$OBS_DIR/unknown_flag.txt"; then
+    echo "error: fig6a_dma_energy accepted --sweep=warm" >&2
+    exit 1
+fi
+grep -q "unknown argument '--sweep=warm'" "$OBS_DIR/unknown_flag.txt"
+echo "flag smoke: unknown arguments rejected"
 
 # Fleet smoke: a small population's report and JSON artifact must be
-# byte-identical serial vs sharded and warm vs cold (the throughput
-# line goes to stderr, so stdout diffs exactly), and the artifact must
-# parse as JSON with the expected sketch series.
+# byte-identical serial vs sharded (the throughput line goes to
+# stderr, so stdout diffs exactly), and the artifact must parse as
+# JSON with the expected sketch series.
 FLEET_DIR="$BUILD_DIR/fleet-smoke"
 mkdir -p "$FLEET_DIR"
 for jobs in 1 4; do
     "$BUILD_DIR"/src/workloads/fleet --devices=300 --hours=6 \
-        --jobs="$jobs" --report="$FLEET_DIR/warm_$jobs.json" \
-        > "$FLEET_DIR/warm_$jobs.txt" 2>/dev/null
+        --jobs="$jobs" --report="$FLEET_DIR/j$jobs.json" \
+        > "$FLEET_DIR/j$jobs.txt" 2>/dev/null
 done
-diff "$FLEET_DIR/warm_1.txt" "$FLEET_DIR/warm_4.txt"
-diff "$FLEET_DIR/warm_1.json" "$FLEET_DIR/warm_4.json"
-"$BUILD_DIR"/src/workloads/fleet --devices=300 --hours=6 --jobs=4 \
-    --sweep=cold --report="$FLEET_DIR/cold_4.json" \
-    > "$FLEET_DIR/cold_4.txt" 2>/dev/null
-diff "$FLEET_DIR/warm_1.txt" "$FLEET_DIR/cold_4.txt"
-diff "$FLEET_DIR/warm_1.json" "$FLEET_DIR/cold_4.json"
-python3 - "$FLEET_DIR/warm_1.json" <<'EOF'
+diff "$FLEET_DIR/j1.txt" "$FLEET_DIR/j4.txt"
+diff "$FLEET_DIR/j1.json" "$FLEET_DIR/j4.json"
+python3 - "$FLEET_DIR/j1.json" <<'EOF'
 import json, sys
 m = json.load(open(sys.argv[1]))
 for series in ("fleet.episode.energy_uj", "fleet.episode.latency_us",
@@ -286,17 +263,16 @@ EOF
     --diurnal=0.5 > "$FLEET_DIR/diurnal_13.txt" 2>/dev/null
 "$BUILD_DIR"/src/workloads/fleet --devices=300 --hours=6 --jobs=1 \
     --diurnal=0.5 2>/dev/null | diff - "$FLEET_DIR/diurnal_13.txt"
-if cmp -s "$FLEET_DIR/diurnal_13.txt" "$FLEET_DIR/warm_1.txt"; then
+if cmp -s "$FLEET_DIR/diurnal_13.txt" "$FLEET_DIR/j1.txt"; then
     echo "error: --diurnal=0.5 did not change the fleet report" >&2
     exit 1
 fi
-echo "fleet smoke: sharded/warm/cold artifacts identical, 100k-device" \
+echo "fleet smoke: sharded artifacts identical, 100k-device" \
      "scale + diurnal determinism OK, JSON OK"
 
 # Coherence protocol smoke: every zoo protocol (DESIGN.md §14) must
 # boot the K2 testbed, run the fig6(b) workload, and emit
-# byte-identical artifacts at any shard count and in warm vs cold
-# fixture mode.
+# byte-identical artifacts at any shard count.
 DSM_DIR="$BUILD_DIR/dsm-smoke"
 mkdir -p "$DSM_DIR"
 for proto in 2state 3state mesi moesi rac; do
@@ -305,7 +281,7 @@ for proto in 2state 3state mesi moesi rac; do
     "$BUILD_DIR"/bench/fig6b_ext2_energy --dsm="$proto" --jobs=1 \
         | diff - "$DSM_DIR/${proto}_j4.txt"
     "$BUILD_DIR"/bench/fig6b_ext2_energy --dsm="$proto" --jobs=13 \
-        --sweep=cold | diff - "$DSM_DIR/${proto}_j4.txt"
+        | diff - "$DSM_DIR/${proto}_j4.txt"
 done
 # Distinct protocols must actually produce distinct results (guard
 # against the flag silently falling back to the default). fig6(b)'s
@@ -320,5 +296,5 @@ then
     echo "error: --dsm=3state produced the 2state results" >&2
     exit 1
 fi
-echo "coherence smoke: 5 protocols x jobs x warm/cold artifacts" \
+echo "coherence smoke: 5 protocols x jobs artifacts" \
      "identical, protocols distinct"

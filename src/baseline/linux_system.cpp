@@ -1,7 +1,6 @@
 #include "baseline/linux_system.h"
 
 #include "sim/log.h"
-#include "snap/io.h"
 
 namespace k2 {
 namespace baseline {
@@ -98,15 +97,6 @@ sim::Task<void>
 LinuxSystem::freePages(kern::Thread &t, kern::PageRange range)
 {
     co_await kernel_->freePages(t, range);
-}
-
-void
-LinuxSystem::snapState(snap::Io &io)
-{
-    engine_.snapState(io);
-    soc_->snapState(io);
-    kernel_->snapState(io);
-    SystemImage::snapState(io);
 }
 
 } // namespace baseline

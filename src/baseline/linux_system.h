@@ -60,8 +60,6 @@ class LinuxSystem : public os::SystemImage
     sim::Engine &ownedEngine() { return engine_; }
     const kern::AddressSpaceLayout &layout() const { return *layout_; }
 
-    void snapState(snap::Io &io) override;
-
   private:
     LinuxConfig cfg_;
     sim::Engine engine_;

@@ -2,7 +2,6 @@
 
 #include "obs/metrics.h"
 #include "sim/log.h"
-#include "snap/io.h"
 
 namespace k2 {
 namespace fault {
@@ -182,22 +181,6 @@ FaultInjector::revive(std::uint32_t domain)
             note(FaultKind::DomainCrash, domain);
         }
     }
-}
-
-void
-FaultInjector::snapState(snap::Io &io)
-{
-    io.check(track_, "FaultInjector::track");
-    io.pod(rng_);
-    io.check(clauses_.size(), "FaultInjector::clauses");
-    for (ClauseState &c : clauses_) {
-        io.pod(c.burstLeft);
-        io.pod(c.fired);
-        io.pod(c.revived);
-    }
-    io.pod(injected_);
-    io.pod(crashMailDrops_);
-    io.pod(crashIrqDrops_);
 }
 
 void

@@ -134,9 +134,6 @@ class FaultInjector
     void registerMetrics(obs::MetricsRegistry &reg,
                          const std::string &prefix) const;
 
-    /** Capture/restore the PRNG stream and per-clause consumption. */
-    void snapState(snap::Io &io);
-
   private:
     struct ClauseState
     {

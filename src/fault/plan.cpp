@@ -211,6 +211,12 @@ FaultPlan::parse(const std::string &spec)
                 K2_FATAL("faults: %s needs an onset time (at=...)",
                          faultKindName(fs.kind));
         }
+        // Every raised line lost: a driver waiting on its completion
+        // interrupt never wakes, so no episode can finish.
+        if (fs.kind == FaultKind::IrqLost && fs.p >= 1.0)
+            K2_FATAL("faults: irq.lost:p=%g loses every interrupt and "
+                     "makes progress impossible (use p<1)",
+                     fs.p);
         if (fs.kind == FaultKind::IrqSpurious && fs.line == kAnyLine)
             K2_FATAL("faults: irq.spurious needs a line (line=N)");
         if ((fs.kind == FaultKind::DomainStall ||

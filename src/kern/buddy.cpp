@@ -3,14 +3,14 @@
 #include <algorithm>
 
 #include "sim/log.h"
-#include "snap/io.h"
 
 namespace k2 {
 namespace kern {
 
 BuddyAllocator::BuddyAllocator(std::string name, Pfn base,
                                std::uint64_t npages)
-    : name_(std::move(name)), base_(base), npages_(npages), meta_(npages)
+    : name_(std::move(name)), base_(base), npages_(npages),
+      sections_((npages + kSectionPages - 1) / kSectionPages)
 {
     const std::uint64_t align = 1ull << kMaxOrder;
     if (base_ % align != 0)
@@ -20,35 +20,29 @@ BuddyAllocator::BuddyAllocator(std::string name, Pfn base,
         freeLists_[order] = BlockSet((npages_ >> order) + 1);
 }
 
-BuddyAllocator::PageMeta &
-BuddyAllocator::meta(Pfn pfn)
+bool
+BuddyAllocator::hasSection(Pfn pfn) const
 {
     K2_ASSERT(pfn >= base_ && rel(pfn) < npages_);
-    return meta_[rel(pfn)];
-}
-
-const BuddyAllocator::PageMeta &
-BuddyAllocator::meta(Pfn pfn) const
-{
-    K2_ASSERT(pfn >= base_ && rel(pfn) < npages_);
-    return meta_[rel(pfn)];
+    return sections_[rel(pfn) / kSectionPages] != nullptr;
 }
 
 void
 BuddyAllocator::insertFree(Pfn pfn, unsigned order)
 {
-    insertFreeHead(pfn, order);
+    PageMeta *m = &writableMeta(pfn);
+    insertFreeHead(*m, pfn, order);
     const std::uint64_t n = 1ull << order;
     for (std::uint64_t i = 1; i < n; ++i)
-        meta_[rel(pfn) + i].state = PageState::FreeBody;
+        m[i].state = PageState::FreeBody;
 }
 
 void
-BuddyAllocator::insertFreeHead(Pfn pfn, unsigned order)
+BuddyAllocator::insertFreeHead(PageMeta &head, Pfn pfn, unsigned order)
 {
     freeLists_[order].insert(rel(pfn) >> order);
-    meta(pfn).state = PageState::FreeHead;
-    meta(pfn).order = static_cast<std::uint8_t>(order);
+    head.state = PageState::FreeHead;
+    head.order = static_cast<std::uint8_t>(order);
 }
 
 void
@@ -100,6 +94,7 @@ BuddyAllocator::alloc(unsigned order, Migrate migrate)
 
     std::uint64_t work = workModel_.base;
     removeFree(block, found);
+    PageMeta *sec = writableSection(block);
 
     // Split down to the requested order. For movable requests keep the
     // *upper* buddy and return the lower one to the free lists, and
@@ -111,21 +106,22 @@ BuddyAllocator::alloc(unsigned order, Migrate migrate)
         const Pfn lower = block;
         const Pfn upper = block + (1ull << found);
         if (migrate == Migrate::Movable) {
-            insertFreeHead(lower, found);
+            insertFreeHead(sec[slot(lower)], lower, found);
             block = upper;
         } else {
-            insertFreeHead(upper, found);
+            insertFreeHead(sec[slot(upper)], upper, found);
             block = lower;
         }
         work += workModel_.perSplit;
     }
 
     const std::uint64_t n = 1ull << order;
-    meta(block).state = PageState::AllocHead;
-    meta(block).order = static_cast<std::uint8_t>(order);
-    meta(block).migrate = migrate;
+    PageMeta *m = &sec[slot(block)];
+    m->state = PageState::AllocHead;
+    m->order = static_cast<std::uint8_t>(order);
+    m->migrate = migrate;
     for (std::uint64_t i = 1; i < n; ++i)
-        meta_[rel(block) + i].state = PageState::AllocBody;
+        m[i].state = PageState::AllocBody;
 
     freePages_ -= n;
     allocatedPages_ += n;
@@ -137,13 +133,14 @@ std::uint64_t
 BuddyAllocator::free(Pfn first)
 {
     freeCalls.inc();
-    PageMeta &m = meta(first);
-    if (m.state != PageState::AllocHead)
+    if (meta(first).state != PageState::AllocHead)
         K2_PANIC("allocator '%s': free of pfn %llu which is not an "
                  "allocation head", name_.c_str(),
                  static_cast<unsigned long long>(first));
 
-    unsigned order = m.order;
+    PageMeta *sec = writableSection(first);
+    PageMeta *m = &sec[slot(first)];
+    unsigned order = m->order;
     std::uint64_t n = 1ull << order;
     allocatedPages_ -= n;
     freePages_ += n;
@@ -152,7 +149,7 @@ BuddyAllocator::free(Pfn first)
     // Only the freed allocation's own pages change body state; the
     // interiors of any buddies absorbed below are already FreeBody.
     for (std::uint64_t i = 0; i < n; ++i)
-        meta_[rel(first) + i].state = PageState::FreeBody;
+        m[i].state = PageState::FreeBody;
 
     // Coalesce with free buddies. Each absorbed buddy's head becomes
     // an interior page of the merged block.
@@ -162,17 +159,16 @@ BuddyAllocator::free(Pfn first)
         if (buddy_rel >= npages_)
             break;
         const Pfn buddy = base_ + buddy_rel;
-        if (meta(buddy).state != PageState::FreeHead ||
-            meta(buddy).order != order) {
+        PageMeta &b = sec[slot(buddy)];
+        if (b.state != PageState::FreeHead || b.order != order)
             break;
-        }
         removeFree(buddy, order);
-        meta(buddy).state = PageState::FreeBody;
+        b.state = PageState::FreeBody;
         block = std::min(block, buddy);
         ++order;
         work += workModel_.perMerge;
     }
-    insertFreeHead(block, order);
+    insertFreeHead(sec[slot(block)], block, order);
     return work;
 }
 
@@ -194,10 +190,20 @@ BuddyAllocator::addFreeRange(PageRange range)
 {
     K2_ASSERT(range.first >= base_ && range.end() <= base_ + npages_);
     std::uint64_t work = workModel_.base;
-    for (Pfn p = range.first; p < range.end(); ++p) {
-        if (meta(p).state != PageState::NotOwned)
-            K2_PANIC("allocator '%s': addFreeRange over owned pfn %llu",
-                     name_.c_str(), static_cast<unsigned long long>(p));
+    // Every page must be unowned; an absent section owns none.
+    for (Pfn p = range.first; p < range.end();) {
+        const Pfn next = std::min<Pfn>(
+            range.end(), p - slot(p) + kSectionPages);
+        if (hasSection(p)) {
+            const PageMeta *m = &meta(p);
+            for (Pfn q = p; q < next; ++q, ++m) {
+                if (m->state != PageState::NotOwned)
+                    K2_PANIC("allocator '%s': addFreeRange over owned "
+                             "pfn %llu", name_.c_str(),
+                             static_cast<unsigned long long>(q));
+            }
+        }
+        p = next;
     }
 
     work += workModel_.perMerge * insertFreeSpan(range.first, range.count);
@@ -341,12 +347,13 @@ BuddyAllocator::reclaimRange(PageRange range)
     // NotOwned. Clients address pages through their own mappings,
     // which Linux page migration updates; we model the cost only.
     for (Pfn p = range.first; p < range.end();) {
-        PageMeta &m = meta(p);
+        const PageMeta &m = meta(p);
         if (m.state == PageState::AllocHead) {
             const std::uint64_t n = 1ull << m.order;
             // Mark old pages as leaving the allocator.
+            PageMeta *w = &writableMeta(p);
             for (std::uint64_t i = 0; i < n; ++i)
-                meta_[rel(p) + i].state = PageState::NotOwned;
+                w[i].state = PageState::NotOwned;
             allocatedPages_ -= n;
             res.migrated += n;
             res.work += workModel_.perMigrate * n;
@@ -383,8 +390,9 @@ BuddyAllocator::reclaimRange(PageRange range)
 
         removeFree(head, order);
         res.work += workModel_.perSplit * carveSplits(head, order, lo, hi);
+        PageMeta *w = &writableMeta(lo);
         for (Pfn q = lo; q < hi; ++q)
-            meta_[rel(q)].state = PageState::NotOwned;
+            w[q - lo].state = PageState::NotOwned;
         freePages_ -= hi - lo;
         if (head < lo)
             insertFreeSpan(head, lo - head);
@@ -418,46 +426,6 @@ BuddyAllocator::largestFreeOrder() const
 }
 
 void
-BuddyAllocator::snapState(snap::Io &io)
-{
-    io.check(base_, "BuddyAllocator::base");
-    io.check(npages_, "BuddyAllocator::npages");
-    // meta_ goes into the image as raw bytes; any padding in PageMeta
-    // would capture indeterminate garbage and break the fork-vs-cold
-    // byte-identity contract.
-    static_assert(sizeof(PageMeta) ==
-                      sizeof(PageState) + sizeof(std::uint8_t) +
-                          sizeof(Migrate),
-                  "PageMeta must be padding-free for podVec");
-    io.podVec(meta_);
-    for (unsigned order = 0; order <= kMaxOrder; ++order) {
-        // The bitmap iterates ascending, so the image is deterministic
-        // (absolute head pfns, the same bytes the std::set free lists
-        // produced).
-        BlockSet &list = freeLists_[order];
-        std::uint64_t n = io.count(list.size());
-        if (io.restoring()) {
-            list.clear();
-            for (std::uint64_t i = 0; i < n; ++i) {
-                Pfn pfn;
-                io.pod(pfn);
-                list.insert(rel(pfn) >> order);
-            }
-        } else {
-            list.forEach([&](std::uint64_t idx) {
-                Pfn v = base_ + (idx << order);
-                io.pod(v);
-            });
-        }
-    }
-    io.pod(freePages_);
-    io.pod(allocatedPages_);
-    io.pod(allocCalls);
-    io.pod(freeCalls);
-    io.pod(failedAllocs);
-}
-
-void
 BuddyAllocator::checkInvariants() const
 {
     std::uint64_t free_count = 0;
@@ -469,18 +437,16 @@ BuddyAllocator::checkInvariants() const
             K2_ASSERT(m.order == order);
             K2_ASSERT((rel(head) & ((1ull << order) - 1)) == 0);
             free_count += 1ull << order;
-            for (std::uint64_t i = 1; i < (1ull << order); ++i) {
-                K2_ASSERT(meta_[rel(head) + i].state ==
-                          PageState::FreeBody);
-            }
+            for (std::uint64_t i = 1; i < (1ull << order); ++i)
+                K2_ASSERT(meta(head + i).state == PageState::FreeBody);
         });
     }
     K2_ASSERT(free_count == freePages_);
 
     std::uint64_t alloc_count = 0;
-    for (std::uint64_t i = 0; i < npages_; ++i) {
-        if (meta_[i].state == PageState::AllocHead ||
-            meta_[i].state == PageState::AllocBody) {
+    for (Pfn p = base_; p < base_ + npages_; ++p) {
+        if (meta(p).state == PageState::AllocHead ||
+            meta(p).state == PageState::AllocBody) {
             ++alloc_count;
         }
     }

@@ -29,6 +29,7 @@
 #include <array>
 #include <bit>
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -38,15 +39,10 @@
 #include "kern/types.h"
 
 namespace k2 {
-namespace snap {
-class Io;
-}
 namespace kern {
 
 /** Page mobility class, mirroring Linux migrate types. The narrow
- *  underlying type keeps PageMeta padding-free, so the per-page
- *  metadata vector can be snapshotted as raw bytes (snapState)
- *  without capturing indeterminate padding. */
+ *  underlying type keeps PageMeta at three bytes a page. */
 enum class Migrate : std::uint8_t { Unmovable, Movable };
 
 /**
@@ -56,7 +52,7 @@ enum class Migrate : std::uint8_t { Unmovable, Movable };
  * The allocator's free lists only ever need keyed insert/erase, the
  * extremal members (placement policy allocates movable blocks from
  * the top of memory, unmovable from the bottom), and sorted iteration
- * (snapshots, invariant checks). A bitmap serves all of those with no
+ * (invariant checks). A bitmap serves all of those with no
  * per-node heap traffic, which is what made the former std::set free
  * lists the dominant cost of alloc()/free() (every split and coalesce
  * paid a red-black-tree node allocation).
@@ -137,14 +133,6 @@ class BlockSet
         K2_PANIC("BlockSet::max on empty set");
     }
 
-    void
-    clear()
-    {
-        std::fill(words_.begin(), words_.end(), 0);
-        std::fill(summary_.begin(), summary_.end(), 0);
-        count_ = 0;
-    }
-
     /** Call @p fn on every member in ascending order. */
     template <typename Fn>
     void
@@ -179,6 +167,10 @@ class BuddyAllocator
     /** Largest block: 2^12 pages = 16 MB of 4 KB pages (one K2 page
      *  block). */
     static constexpr unsigned kMaxOrder = 12;
+
+    /** Pages per metadata section: one largest block, so no block
+     *  ever straddles two sections. */
+    static constexpr std::uint64_t kSectionPages = 1ull << kMaxOrder;
 
     /** Work-unit cost model (converted to instructions by callers). */
     struct WorkModel
@@ -285,8 +277,9 @@ class BuddyAllocator
     /** Internal consistency check (for tests); panics on corruption. */
     void checkInvariants() const;
 
-    /** Capture/restore page metadata, free lists, and counters. */
-    void snapState(snap::Io &io);
+    /** True once page metadata exists for @p pfn's section, i.e. the
+     *  allocator has owned some page of it. */
+    bool hasSection(Pfn pfn) const;
 
   private:
     enum class PageState : std::uint8_t
@@ -306,20 +299,55 @@ class BuddyAllocator
     };
 
     std::uint64_t rel(Pfn pfn) const { return pfn - base_; }
-    PageMeta &meta(Pfn pfn);
-    const PageMeta &meta(Pfn pfn) const;
+
+    /** Metadata of @p pfn; a page of an absent section is NotOwned. */
+    const PageMeta &
+    meta(Pfn pfn) const
+    {
+        static constexpr PageMeta kNotOwned{};
+        K2_ASSERT(pfn >= base_ && rel(pfn) < npages_);
+        const PageMeta *s = sections_[rel(pfn) / kSectionPages].get();
+        return s ? s[rel(pfn) % kSectionPages] : kNotOwned;
+    }
+
+    /**
+     * Writable metadata of @p pfn's section, allocated on first use;
+     * index it with slot(). A block never straddles two sections, so
+     * a block's pages, and every buddy it splits into or merges with,
+     * index into the same array.
+     */
+    PageMeta *
+    writableSection(Pfn pfn)
+    {
+        K2_ASSERT(pfn >= base_ && rel(pfn) < npages_);
+        std::unique_ptr<PageMeta[]> &s =
+            sections_[rel(pfn) / kSectionPages];
+        if (!s) [[unlikely]]
+            s = std::make_unique<PageMeta[]>(kSectionPages);
+        return s.get();
+    }
+
+    std::uint64_t slot(Pfn pfn) const { return rel(pfn) % kSectionPages; }
+
+    /** Writable metadata of @p pfn (see writableSection). */
+    PageMeta &
+    writableMeta(Pfn pfn)
+    {
+        return writableSection(pfn)[slot(pfn)];
+    }
 
     void insertFree(Pfn pfn, unsigned order);
 
     /**
-     * insertFree without the interior-page rewrite. Precondition:
-     * every page of the block except possibly the head is already
-     * FreeBody (true when splitting or coalescing free blocks, where
-     * only head positions change). Keeps meta_ byte-identical to the
-     * full rewrite while skipping the 2^order - 1 redundant stores
-     * that used to dominate alloc()/free().
+     * insertFree without the interior-page rewrite; @p head is
+     * @p pfn's metadata. Precondition: every page of the block except
+     * possibly the head is already FreeBody (true when splitting or
+     * coalescing free blocks, where only head positions change).
+     * Leaves the metadata byte-identical to the full rewrite while
+     * skipping the 2^order - 1 redundant stores that used to dominate
+     * alloc()/free().
      */
-    void insertFreeHead(Pfn pfn, unsigned order);
+    void insertFreeHead(PageMeta &head, Pfn pfn, unsigned order);
 
     void removeFree(Pfn pfn, unsigned order);
 
@@ -349,7 +377,12 @@ class BuddyAllocator
     std::string name_;
     Pfn base_;
     std::uint64_t npages_;
-    std::vector<PageMeta> meta_;
+    /**
+     * Page metadata in kSectionPages-page sections, allocated the
+     * first time the allocator owns a page of one: a kernel that owns
+     * a few 16 MB blocks of a large window pays for those blocks only.
+     */
+    std::vector<std::unique_ptr<PageMeta[]>> sections_;
     /** Free block heads per order, keyed by rel(pfn) >> order. */
     std::array<BlockSet, kMaxOrder + 1> freeLists_;
     std::uint64_t freePages_ = 0;

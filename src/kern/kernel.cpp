@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "sim/log.h"
-#include "snap/io.h"
 
 namespace k2 {
 namespace kern {
@@ -25,25 +24,6 @@ Kernel::Kernel(soc::Soc &soc, soc::DomainId domain, std::string name)
 }
 
 Kernel::~Kernel() = default;
-
-void
-Kernel::snapState(snap::Io &io)
-{
-    io.pod(booted_);
-    io.check(irqLog_.size(), "Kernel::irqLog");
-
-    // Live threads only: workload bodies spawned after the capture
-    // point have run to completion and been freed by the time the
-    // system re-quiesces; the boot-time daemons persist.
-    io.check(threads_.size(), "Kernel::threads");
-    for (auto &t : threads_) {
-        io.check(t->tid(), "Kernel::thread");
-        t->snapState(io);
-    }
-
-    sched_->snapState(io, threads_);
-    buddy_->snapState(io);
-}
 
 void
 Kernel::boot()

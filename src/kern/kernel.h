@@ -147,14 +147,6 @@ class Kernel
         return threads_;
     }
 
-    /**
-     * Capture/restore the kernel: the live thread table (verified by
-     * tid; threads spawned after the capture must have been reaped),
-     * every live thread's semantic state, the scheduler, and the page
-     * allocator.
-     */
-    void snapState(snap::Io &io);
-
   private:
     friend class Scheduler;
 

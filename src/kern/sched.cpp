@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "sim/log.h"
-#include "snap/io.h"
 #include "kern/kernel.h"
 
 namespace k2 {
@@ -157,64 +156,6 @@ void
 Scheduler::noteBlockedOrDone(Thread &t)
 {
     bumpRunnable(t, -1);
-}
-
-void
-Scheduler::snapState(snap::Io &io,
-                     const std::vector<std::unique_ptr<Thread>> &threads)
-{
-    // Quiescence: no runnable work, every core loop parked on its
-    // wake event.
-    K2_ASSERT(runq_.empty());
-    io.pod(started_);
-    io.pod(switches_);
-
-    // Gated (NightWatch-suspended but ready) threads, by tid.
-    std::uint64_t n = io.count(gated_.size());
-    if (io.restoring()) {
-        gated_.clear();
-        gated_.reserve(static_cast<std::size_t>(n));
-        for (std::uint64_t i = 0; i < n; ++i) {
-            Tid tid = 0;
-            io.pod(tid);
-            Thread *found = nullptr;
-            for (const auto &t : threads) {
-                if (t->tid() == tid) {
-                    found = t.get();
-                    break;
-                }
-            }
-            K2_ASSERT(found != nullptr);
-            gated_.push_back(found);
-        }
-    } else {
-        for (Thread *t : gated_) {
-            Tid tid = t->tid();
-            io.pod(tid);
-        }
-    }
-
-    io.check(parked_.size(), "Scheduler::parked");
-    for (ParkedCore &pc : parked_) {
-        io.check(pc.track, "Scheduler::coreTrack");
-        pc.wake->snapState(io);
-        io.pod(pc.parked);
-        io.pod(pc.lastRan);
-    }
-
-    // Per-process runnable counts: recomputed, not serialised -- the
-    // map is keyed by host pointers and only ever queried via find(),
-    // so an absent entry and an explicit zero are equivalent.
-    if (io.restoring()) {
-        runnableNormal_.clear();
-        for (const auto &t : threads) {
-            if (t->kind() == ThreadKind::Normal && t->process() &&
-                (t->state() == Thread::State::Ready ||
-                 t->state() == Thread::State::Running)) {
-                ++runnableNormal_[t->process()];
-            }
-        }
-    }
 }
 
 sim::Task<void>

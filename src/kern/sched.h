@@ -81,16 +81,6 @@ class Scheduler
     /** Number of Ready+Running Normal threads of @p proc here. */
     int runnableNormal(const Process &proc) const;
 
-    /**
-     * Capture/restore scheduler state at quiescence (empty runqueue,
-     * every core loop parked). @p threads is the owning kernel's
-     * thread table, already restored: the gated list is rebuilt from
-     * tids and the per-process runnable counts are recomputed from
-     * thread states.
-     */
-    void snapState(snap::Io &io,
-                   const std::vector<std::unique_ptr<Thread>> &threads);
-
   private:
     friend class Thread;
 

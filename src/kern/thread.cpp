@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "sim/log.h"
-#include "snap/io.h"
 #include "kern/kernel.h"
 #include "kern/sched.h"
 
@@ -34,16 +33,6 @@ Thread::exitCritical()
         suspendPending_ = false;
         scheduler().setSuspended(*this, true);
     }
-}
-
-void
-Process::snapState(snap::Io &io)
-{
-    io.check(pid_, "Process::pid");
-    io.pod(nightWatch_);
-    io.check(threads_.size(), "Process::threads");
-    for (Thread *t : threads_)
-        io.check(t->tid(), "Process::thread");
 }
 
 Thread::Thread(Kernel &kernel, Process *proc, Tid tid, std::string name,
@@ -78,35 +67,6 @@ Thread::core()
 {
     K2_ASSERT(core_ != nullptr);
     return *core_;
-}
-
-void
-Thread::snapState(snap::Io &io)
-{
-    io.pod(state_);
-    io.pod(suspended_);
-    io.pod(queued_);
-    io.pod(everRan_);
-    io.pod(dispatchedAt_);
-    // Core binding by id (pointers are host state).
-    std::uint32_t core = core_ ? core_->id() + 1 : 0;
-    io.pod(core);
-    if (io.restoring()) {
-        core_ = nullptr;
-        if (core != 0) {
-            for (soc::Core *c : scheduler().cores_) {
-                if (c->id() == core - 1) {
-                    core_ = c;
-                    break;
-                }
-            }
-            K2_ASSERT(core_ != nullptr);
-        }
-    }
-    // Frame positions are structural: record their shape only.
-    io.check(parked_ ? 1 : 0, "Thread::parked");
-    io.check(schedHandle_ ? 1 : 0, "Thread::schedHandle");
-    doneEvent_.snapState(io);
 }
 
 sim::Task<void>

@@ -70,12 +70,6 @@ class Process
      */
     std::size_t numNightWatch() const { return nightWatch_; }
 
-    /**
-     * Capture/restore the NightWatch count; the live thread list is
-     * structural and verified by tid.
-     */
-    void snapState(snap::Io &io);
-
   private:
     Pid pid_;
     std::string name_;
@@ -183,14 +177,6 @@ class Thread
     bool shouldPark() const;
 
     /** @} */
-
-    /**
-     * Capture/restore the semantic thread state. The coroutine frame
-     * itself is structural: a thread alive at capture is parked at the
-     * same await site at every quiescent point, so only its state
-     * flags, timestamps, and core binding are rewritten.
-     */
-    void snapState(snap::Io &io);
 
   private:
     friend class Kernel;

@@ -6,8 +6,8 @@
  * handful of named QuantileSketch objects; this renders them as one
  * JSON artifact (count/sum/mean/min/max, the p50/p90/p99/p99.9 tail,
  * and the sparse nonzero log2 buckets) so fleet reports can be diffed
- * byte-for-byte across `--jobs=N` and sweep modes, exactly like the
- * metrics snapshots. NaN fields (an empty sketch's min/max and
+ * byte-for-byte across `--jobs=N`, exactly like the metrics
+ * snapshots. NaN fields (an empty sketch's min/max and
  * percentiles) render as null, keeping the output standard JSON.
  */
 

@@ -28,7 +28,6 @@
 #include "sim/task.h"
 #include "kern/kernel.h"
 #include "kern/types.h"
-#include "snap/io.h"
 
 namespace k2 {
 namespace os {
@@ -81,18 +80,6 @@ class BalloonDriver
     sim::Accumulator inflateUs;
     sim::Accumulator migratedPages;
     /** @} */
-
-    /** Capture/restore: the driver is stateless beyond its stats. */
-    void
-    snapState(snap::Io &io)
-    {
-        io.pod(deflates);
-        io.pod(inflates);
-        io.pod(failedInflates);
-        io.pod(deflateUs);
-        io.pod(inflateUs);
-        io.pod(migratedPages);
-    }
 
   private:
     kern::Kernel &kernel_;

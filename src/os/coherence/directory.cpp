@@ -4,7 +4,6 @@
 
 #include "obs/metrics.h"
 #include "sim/log.h"
-#include "snap/io.h"
 
 namespace k2 {
 namespace os {
@@ -132,25 +131,6 @@ Directory::registerMetrics(obs::MetricsRegistry &reg,
     reg.addCounter(pp + ".invalidations", invalidations_);
     reg.addCounter(pp + ".forwards", forwards_);
     reg.addCounter(pp + ".writebacks", writebacks_);
-}
-
-void
-Directory::snapState(snap::Io &io)
-{
-    io.pod(invalidations_);
-    io.pod(forwards_);
-    io.pod(writebacks_);
-    for (std::uint64_t k : io.growingKeys(entries_)) {
-        Entry &e = entries_[k]; // Created if dropped before capture.
-        io.pod(e.owner);
-        io.pod(e.sharers);
-        io.pod(e.dirty);
-        io.pod(e.reqActive);
-        io.pod(e.reqWrite);
-        io.pod(e.requester);
-        io.pod(e.ackWait);
-        io.pod(e.serviceStart);
-    }
 }
 
 } // namespace coherence

@@ -113,10 +113,6 @@ class Directory
     void registerMetrics(obs::MetricsRegistry &reg,
                          const std::string &prefix) const;
 
-    /** Capture/restore all entries (sorted; post-capture entries are
-     *  dropped on restore). */
-    void snapState(snap::Io &io);
-
   private:
     ProtocolKind kind_;
     std::size_t n_;

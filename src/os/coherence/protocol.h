@@ -40,9 +40,6 @@ namespace k2 {
 namespace obs {
 class MetricsRegistry;
 }
-namespace snap {
-class Io;
-}
 
 namespace os {
 namespace coherence {

@@ -5,7 +5,6 @@
 
 #include "obs/metrics.h"
 #include "sim/log.h"
-#include "snap/io.h"
 
 namespace k2 {
 namespace os {
@@ -116,28 +115,6 @@ RacState::registerMetrics(obs::MetricsRegistry &reg,
 {
     reg.addCounter(prefix + ".rac.log_appends", logAppends_);
     reg.addCounter(prefix + ".rac.drained_lines", drainedLines_);
-}
-
-void
-RacState::snapState(snap::Io &io)
-{
-    for (std::uint32_t &v : logHead_)
-        io.pod(v);
-    for (std::uint32_t &v : drained_)
-        io.pod(v);
-    for (std::uint32_t &v : vc_)
-        io.pod(v);
-    io.pod(logAppends_);
-    io.pod(drainedLines_);
-    // Per-page writer stamps, in ascending page order.
-    for (std::uint64_t k : io.growingKeys(pages_)) {
-        auto it = pages_.find(k);
-        if (it == pages_.end())
-            K2_FATAL("snapshot restore: RAC page %llu missing",
-                     static_cast<unsigned long long>(k));
-        io.pod(it->second.lastWriter);
-        io.pod(it->second.stamp);
-    }
 }
 
 } // namespace coherence

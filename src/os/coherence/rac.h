@@ -102,9 +102,6 @@ class RacState
     void registerMetrics(obs::MetricsRegistry &reg,
                          const std::string &prefix) const;
 
-    /** Capture/restore logs, clocks and page stamps. */
-    void snapState(snap::Io &io);
-
   private:
     struct PageState
     {

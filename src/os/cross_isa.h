@@ -24,7 +24,6 @@
 #include "sim/task.h"
 #include "soc/core.h"
 #include "kern/kernel.h"
-#include "snap/io.h"
 
 namespace k2 {
 namespace os {
@@ -66,9 +65,6 @@ class CrossIsaDispatcher
 
     std::uint64_t dispatches() const { return dispatches_.value(); }
     sim::Duration perDispatch() const { return perDispatch_; }
-
-    /** Capture/restore: only the dispatch counter is mutable. */
-    void snapState(snap::Io &io) { io.pod(dispatches_); }
 
   private:
     std::vector<kern::Kernel *> shadows_;

@@ -4,7 +4,6 @@
 
 #include "obs/metrics.h"
 #include "sim/log.h"
-#include "snap/io.h"
 
 namespace k2 {
 namespace os {
@@ -917,7 +916,7 @@ Dsm::racService(KernelIdx writer, KernelIdx req, std::uint64_t page)
 }
 
 // ---------------------------------------------------------------------
-// Recovery, metrics, mail dispatch, snapshots.
+// Recovery, metrics, mail dispatch.
 // ---------------------------------------------------------------------
 
 std::vector<std::uint64_t>
@@ -1102,55 +1101,6 @@ Dsm::handleMail(KernelIdx to_kernel, soc::Mail mail, soc::Core &core)
     PageInfo &pi = info(page);
     pi.grantArrived |= bit(to_kernel);
     pi.grant->pulse();
-}
-
-void
-Dsm::snapState(snap::Io &io)
-{
-    io.check(kernels_.size(), "Dsm::kernels");
-    for (std::size_t k = 0; k < tracks_.size(); ++k)
-        io.check(tracks_[k], "Dsm::track");
-    io.pod(seq_);
-    io.pod(nextRegionPage_);
-    io.pod(messages_);
-    io.pod(demotions_);
-    io.pod(retries_);
-    for (auto &mmu : mmus_)
-        mmu->snapState(io);
-    for (FaultStats &st : stats_) {
-        io.pod(st.faults);
-        io.pod(st.localFaultUs);
-        io.pod(st.protocolUs);
-        io.pod(st.commUs);
-        io.pod(st.serviceUs);
-        io.pod(st.exitUs);
-        io.pod(st.totalUs);
-    }
-
-    // Per-page state, in ascending page order.
-    for (std::uint64_t k : io.growingKeys(pages_)) {
-        auto it = pages_.find(k);
-        if (it == pages_.end())
-            K2_FATAL("snapshot restore: DSM page %llu missing",
-                     static_cast<unsigned long long>(k));
-        PageInfo &pi = *it->second;
-        io.pod(pi.owner);
-        io.pod(pi.servedBy);
-        io.pod(pi.valid);
-        io.pod(pi.raced);
-        io.pod(pi.outstanding);
-        io.pod(pi.grantArrived);
-        io.pod(pi.demoted);
-        pi.grant->snapState(io);
-        pi.settled->snapState(io);
-        io.pod(pi.lastServiceTime);
-        io.pod(pi.peerService);
-    }
-
-    if (dir_)
-        dir_->snapState(io);
-    if (rac_)
-        rac_->snapState(io);
 }
 
 } // namespace os

@@ -182,13 +182,6 @@ class Dsm
     void registerMetrics(obs::MetricsRegistry &reg,
                          const std::string &prefix) const;
 
-    /**
-     * Capture/restore: per-page coherence state (pages instantiated
-     * after the capture point are dropped), MMU/TLB contents, fault
-     * statistics, protocol state and the message sequence counter.
-     */
-    void snapState(snap::Io &io);
-
   private:
     struct PageInfo
     {

@@ -1,7 +1,6 @@
 #include "os/io_mapper.h"
 
 #include "sim/log.h"
-#include "snap/io.h"
 
 namespace k2 {
 namespace os {
@@ -106,43 +105,6 @@ IoMapper::handleMail(KernelIdx to, Message msg, soc::Core &core)
       }
       default:
         K2_PANIC("IoMapper received non-map control op");
-    }
-}
-
-void
-IoMapper::snapState(snap::Io &io)
-{
-    io.check(windowBase_, "IoMapper::windowBase");
-    io.pod(nextVaddr_);
-    io.pod(nextId_);
-    io.pod(maps);
-    io.pod(unmaps);
-    io.pod(propagations);
-
-    // Mappings are plain data (no events, no frames), and unmapIo can
-    // shrink the table, so it is rebuilt from the image outright.
-    // Field-wise: Mapping has tail padding that must not reach the
-    // byte stream.
-    std::uint64_t n = io.count(mappings_.size());
-    if (io.restoring()) {
-        mappings_.clear();
-        for (std::uint64_t i = 0; i < n; ++i) {
-            RegionId id = 0;
-            io.pod(id);
-            Mapping m;
-            io.pod(m.vaddr);
-            io.pod(m.pages);
-            io.pod(m.installed);
-            mappings_.emplace(id, m);
-        }
-    } else {
-        for (auto &[id, m] : mappings_) {
-            RegionId i2 = id;
-            io.pod(i2);
-            io.pod(m.vaddr);
-            io.pod(m.pages);
-            io.pod(m.installed);
-        }
     }
 }
 

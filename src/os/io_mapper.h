@@ -73,12 +73,6 @@ class IoMapper
     sim::Task<void> handleMail(KernelIdx to, Message msg,
                                soc::Core &core);
 
-    /**
-     * Capture/restore. Mappings are plain data (no events), so the
-     * table is rebuilt from the image rather than pruned.
-     */
-    void snapState(snap::Io &io);
-
   private:
     struct Mapping
     {

@@ -1,7 +1,6 @@
 #include "os/irq_router.h"
 
 #include "sim/log.h"
-#include "snap/io.h"
 
 namespace k2 {
 namespace os {
@@ -90,18 +89,6 @@ IrqRouter::install()
             [this](soc::PowerState) { onStrongStateChange(); });
     }
     applyRouting(dom.allInactive());
-}
-
-void
-IrqRouter::snapState(snap::Io &io)
-{
-    // Managed lines and installation happen at service-setup time
-    // only, so both are structural.
-    io.check(lines_.size(), "IrqRouter::lines");
-    io.check(installed_ ? 1 : 0, "IrqRouter::installed");
-    io.pod(routedToWeak_);
-    io.pod(degraded_);
-    io.pod(reroutes_);
 }
 
 } // namespace os

@@ -67,10 +67,6 @@ class IrqRouter
      */
     void reapplyMasks();
 
-    /** Capture/restore the routing state (managed lines are
-     *  structural: manageLine runs at service-setup time only). */
-    void snapState(snap::Io &io);
-
   private:
     void applyRouting(bool to_weak);
     void onStrongStateChange();

@@ -5,7 +5,6 @@
 #include "fault/injector.h"
 #include "obs/metrics.h"
 #include "sim/log.h"
-#include "snap/io.h"
 
 namespace k2 {
 namespace os {
@@ -432,45 +431,6 @@ K2System::registerMetrics(obs::MetricsRegistry &reg)
         watchdog_->registerMetrics(reg, "os.recovery");
     if (group_)
         group_->registerMetrics(reg, "os.replica");
-}
-
-void
-K2System::snapState(snap::Io &io)
-{
-    // Order matters: the engine first (quiescence assertions, clock,
-    // tracer), then hardware, then the kernels (whose restore prunes
-    // post-capture threads before anything looks threads up by tid),
-    // then the process table, then the OS services.
-    engine_.snapState(io);
-    soc_->snapState(io);
-    main_->snapState(io);
-    shadow_->snapState(io);
-    io.check(extras_.size(), "K2System::extras");
-    for (auto &ex : extras_)
-        ex->snapState(io);
-    SystemImage::snapState(io);
-    dsm_->snapState(io);
-    meta_->snapState(io);
-    nightWatch_->snapState(io);
-    irqRouter_->snapState(io);
-    crossIsa_->snapState(io);
-    ioMapper_->snapState(io);
-    io.pod(remoteFrees_);
-
-    // The fault plane and recovery protocols exist iff armed, which is
-    // a property of the config -- structural.
-    io.check(injector_ ? 1 : 0, "K2System::injector");
-    if (injector_)
-        injector_->snapState(io);
-    io.check(reliable_ ? 1 : 0, "K2System::reliable");
-    if (reliable_)
-        reliable_->snapState(io);
-    io.check(watchdog_ ? 1 : 0, "K2System::watchdog");
-    if (watchdog_)
-        watchdog_->snapState(io);
-    io.check(group_ ? 1 : 0, "K2System::replica");
-    if (group_)
-        group_->snapState(io);
 }
 
 sim::Task<void>

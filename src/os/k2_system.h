@@ -121,7 +121,6 @@ class K2System : public SystemImage
     sim::Task<void> chargeCrossIsa(kern::Kernel &kern, soc::Core &core,
                                    std::uint64_t n) override;
     void registerMetrics(obs::MetricsRegistry &reg) override;
-    void snapState(snap::Io &io) override;
     /** @} */
 
     /** @name K2 components. @{ */

@@ -1,7 +1,6 @@
 #include "os/meta_manager.h"
 
 #include "sim/log.h"
-#include "snap/io.h"
 
 namespace k2 {
 namespace os {
@@ -217,23 +216,6 @@ MetaLevelManager::handleMail(KernelIdx to, Message msg, soc::Core &core)
       default:
         K2_PANIC("meta manager received unexpected message type %u",
                  static_cast<unsigned>(msg.type));
-    }
-}
-
-void
-MetaLevelManager::snapState(snap::Io &io)
-{
-    io.check(owners_.size(), "Meta::blocks");
-    io.podVec(owners_);
-    io.pod(started_);
-    io.pod(pressurePending_);
-    io.pod(pressureEvents);
-    io.pod(peerRequests);
-    for (std::size_t k = 0; k < 2; ++k) {
-        balloons_[k]->snapState(io);
-        // The kmetad threads park on these between pressure events.
-        kick_[k]->snapState(io);
-        peerDone_[k]->snapState(io);
     }
 }
 

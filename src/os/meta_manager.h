@@ -103,12 +103,6 @@ class MetaLevelManager
     sim::Counter peerRequests;
     /** @} */
 
-    /**
-     * Capture/restore: the block-owner table, both balloon drivers,
-     * the kmetad kick/peer-done events and pending-pressure flags.
-     */
-    void snapState(snap::Io &io);
-
   private:
     sim::Task<void> kmetad(KernelIdx k, kern::Thread &self);
 

@@ -4,7 +4,6 @@
 #include <vector>
 
 #include "sim/log.h"
-#include "snap/io.h"
 
 namespace k2 {
 namespace os {
@@ -172,51 +171,6 @@ NightWatch::handleMail(KernelIdx to, Message msg, soc::Core &core)
       default:
         K2_PANIC("NightWatch received unexpected message type %u",
                  static_cast<unsigned>(msg.type));
-    }
-}
-
-void
-NightWatch::snapState(snap::Io &io)
-{
-    io.pod(suspendsSent);
-    io.pod(resumesSent);
-    io.pod(acksReceived);
-    io.pod(ackWaitUs);
-
-    // Per-process entries appear on demand (first spawn or first hook
-    // firing) and are never erased, so the restoring instance's map is
-    // a superset of the image's: prune back to the captured key set.
-    std::uint64_t n = io.count(procs_.size());
-    if (io.restoring()) {
-        std::vector<kern::Pid> keys(static_cast<std::size_t>(n));
-        for (auto &k : keys)
-            io.pod(k);
-        for (auto it = procs_.begin(); it != procs_.end();) {
-            if (!std::binary_search(keys.begin(), keys.end(), it->first))
-                it = procs_.erase(it);
-            else
-                ++it;
-        }
-        for (kern::Pid pid : keys) {
-            auto it = procs_.find(pid);
-            if (it == procs_.end())
-                K2_FATAL("snapshot NightWatch pid %u missing in target",
-                         static_cast<unsigned>(pid));
-            ProcState &st = it->second;
-            io.pod(st.gated);
-            io.pod(st.ackPending);
-            st.ack->snapState(io);
-        }
-    } else {
-        for (auto &[pid, st] : procs_) {
-            kern::Pid p = pid;
-            io.pod(p);
-        }
-        for (auto &[pid, st] : procs_) {
-            io.pod(st.gated);
-            io.pod(st.ackPending);
-            st.ack->snapState(io);
-        }
     }
 }
 

@@ -69,12 +69,6 @@ class NightWatch
     /** True if @p pid's NightWatch threads are currently gated. */
     bool isGated(kern::Pid pid) const;
 
-    /**
-     * Capture/restore: per-process gate/ack state (entries created
-     * after the capture point are dropped) and the statistics.
-     */
-    void snapState(snap::Io &io);
-
   private:
     struct ProcState
     {

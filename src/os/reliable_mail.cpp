@@ -4,7 +4,6 @@
 
 #include "obs/metrics.h"
 #include "sim/log.h"
-#include "snap/io.h"
 
 namespace k2 {
 namespace os {
@@ -242,24 +241,6 @@ ReliableMail::registerMetrics(obs::MetricsRegistry &reg,
     reg.addCounter(prefix + ".duplicates_dropped", dupDropped_);
     reg.addCounter(prefix + ".giveups", giveups_);
     reg.addHistogram(prefix + ".ack_rtt_us", ackRttUs_);
-}
-
-void
-ReliableMail::snapState(snap::Io &io)
-{
-    io.check(channels_.size(), "ReliableMail::channels");
-    for (Channel &ch : channels_) {
-        // Unacked mail would imply a pending retransmit timer.
-        K2_ASSERT(ch.inflight.empty());
-        io.pod(ch.nextSeq);
-        io.pod(ch.seen);
-    }
-    io.pod(trackedSent_);
-    io.pod(retransmits_);
-    io.pod(acks_);
-    io.pod(dupDropped_);
-    io.pod(giveups_);
-    io.pod(ackRttUs_);
 }
 
 } // namespace os

@@ -126,13 +126,6 @@ class ReliableMail
     void registerMetrics(obs::MetricsRegistry &reg,
                          const std::string &prefix) const;
 
-    /**
-     * Capture/restore. Quiescence requires every channel's inflight
-     * window empty (unacked mail implies a pending retransmit timer);
-     * sequence counters and dedup windows carry over.
-     */
-    void snapState(snap::Io &io);
-
   private:
     struct Pending
     {

@@ -4,7 +4,6 @@
 
 #include "obs/metrics.h"
 #include "sim/log.h"
-#include "snap/io.h"
 
 namespace k2 {
 namespace os {
@@ -437,43 +436,6 @@ ReplicaGroup::registerMetrics(obs::MetricsRegistry &reg,
     reg.addGauge(prefix + ".live", [self]() {
         return static_cast<double>(self->liveReplicas());
     });
-}
-
-void
-ReplicaGroup::snapState(snap::Io &io)
-{
-    // An election, open vote round or re-sync in flight would hold
-    // pending engine work, contradicting quiescence.
-    K2_ASSERT(!electing_);
-    K2_ASSERT(rounds_.empty());
-    K2_ASSERT(resyncing_ == 0);
-    io.check(kernels_.size(), "ReplicaGroup::kernels");
-    io.check(stateRange_.first, "ReplicaGroup::stateRange");
-    io.pod(nonce_);
-    io.pod(term_);
-    io.pod(leader_);
-    io.pod(degraded_);
-    for (std::size_t r = 0; r < numReplicas(); ++r) {
-        io.pod(alive_[r]);
-        io.pod(epoch_[r]);
-    }
-    io.pod(requests_);
-    io.pod(votes_);
-    io.pod(votesAbsent_);
-    io.pod(votesLate_);
-    io.pod(voteMismatches_);
-    io.pod(voteNoQuorum_);
-    io.pod(elections_);
-    io.pod(electionOks_);
-    io.pod(coordinators_);
-    io.pod(rejoins_);
-    io.pod(resyncs_);
-    io.pod(resyncPages_);
-    io.pod(quorumLosses_);
-    io.pod(degradedSpawns_);
-    io.pod(strayMail_);
-    io.pod(electionUs_);
-    io.pod(resyncUs_);
 }
 
 } // namespace os

@@ -157,12 +157,6 @@ class ReplicaGroup
     void registerMetrics(obs::MetricsRegistry &reg,
                          const std::string &prefix);
 
-    /**
-     * Capture/restore. Quiescence requires no election, vote round or
-     * re-sync in flight, and every replica alive.
-     */
-    void snapState(snap::Io &io);
-
   private:
     /** One in-flight vote round, keyed by nonce. */
     struct Round

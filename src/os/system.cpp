@@ -4,7 +4,6 @@
 #include "sim/log.h"
 #include "kern/buddy.h"
 #include "kern/sched.h"
-#include "snap/io.h"
 
 namespace k2 {
 namespace os {
@@ -50,23 +49,6 @@ SystemImage::registerMetrics(obs::MetricsRegistry &reg)
         reg.addCounter(kp + ".buddy.free_calls", buddy.freeCalls);
         reg.addCounter(kp + ".buddy.failed_allocs", buddy.failedAllocs);
     }
-}
-
-void
-SystemImage::snapState(snap::Io &io)
-{
-    io.pod(nextPid_);
-
-    // Process table: prune to the captured prefix. Processes created
-    // after the capture point belong to post-capture workload episodes
-    // whose threads have all exited and been freed.
-    std::uint64_t n = io.count(processes_.size());
-    if (io.restoring()) {
-        K2_ASSERT(n <= processes_.size());
-        processes_.resize(static_cast<std::size_t>(n));
-    }
-    for (auto &p : processes_)
-        p->snapState(io);
 }
 
 } // namespace os

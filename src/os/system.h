@@ -35,10 +35,6 @@ namespace obs {
 class MetricsRegistry;
 }
 
-namespace snap {
-class Io;
-}
-
 namespace os {
 
 /** Kind of access to shared state. */
@@ -162,14 +158,6 @@ class SystemImage
      * their OS-level components (K2 adds "os.*").
      */
     virtual void registerMetrics(obs::MetricsRegistry &reg);
-
-    /**
-     * Capture/restore the whole system into/from @p io. Preconditions:
-     * the engine is quiescent (no pending events, no live tasks) and
-     * the captured instance is the restore target (restore rewrites
-     * semantic state in place; it never re-creates objects).
-     */
-    virtual void snapState(snap::Io &io);
 
   protected:
     std::vector<std::unique_ptr<kern::Process>> processes_;

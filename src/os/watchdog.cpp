@@ -5,7 +5,6 @@
 #include "obs/metrics.h"
 #include "os/replica.h"
 #include "sim/log.h"
-#include "snap/io.h"
 
 namespace k2 {
 namespace os {
@@ -201,34 +200,6 @@ Watchdog::registerMetrics(obs::MetricsRegistry &reg,
     reg.addCounter(prefix + ".degraded_spawns", degradedSpawns_);
     reg.addHistogram(prefix + ".detect_us", detectUs_);
     reg.addHistogram(prefix + ".down_us", downUs_);
-}
-
-void
-Watchdog::snapState(snap::Io &io)
-{
-    // A probe loop or recovery in flight would hold pending timer
-    // events, contradicting engine quiescence.
-    for (std::size_t r = 0; r < shadows_.size(); ++r) {
-        K2_ASSERT(!probing_[r]);
-        K2_ASSERT(!down_[r]);
-    }
-    K2_ASSERT(probeOwner_.empty());
-    io.check(track_, "Watchdog::track");
-    io.check(shadows_.size(), "Watchdog::shadows");
-    for (std::size_t r = 0; r < shadows_.size(); ++r)
-        io.pod(ackSeen_[r]);
-    io.pod(nonce_);
-    io.pod(heartbeats_);
-    io.pod(heartbeatAcks_);
-    io.pod(suspicions_);
-    io.pod(falseAlarms_);
-    io.pod(crashes_);
-    io.pod(restarts_);
-    io.pod(pagesReclaimed_);
-    io.pod(servicesReplayed_);
-    io.pod(degradedSpawns_);
-    io.pod(detectUs_);
-    io.pod(downUs_);
 }
 
 } // namespace os

@@ -116,12 +116,6 @@ class Watchdog
     void registerMetrics(obs::MetricsRegistry &reg,
                          const std::string &prefix) const;
 
-    /**
-     * Capture/restore. Quiescence requires no probe in flight (a probe
-     * loop implies pending timer events) and every shadow kernel up.
-     */
-    void snapState(snap::Io &io);
-
   private:
     sim::Task<void> probeLoop(std::size_t r);
     sim::Task<void> recover(std::size_t r);

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "snap/io.h"
-
 namespace k2 {
 namespace sim {
 
@@ -200,51 +198,6 @@ Engine::runOne()
     ++dispatched_;
     dispatch(e.slot, rec(e.slot));
     return true;
-}
-
-void
-Engine::snapState(snap::Io &io)
-{
-    // Quiescence: the heap holds exactly the live events, so an empty
-    // heap means the slab is entirely a free-list permutation and no
-    // payload/coroutine serialisation is needed.
-    K2_ASSERT(heap_.empty());
-
-    io.pod(now_);
-    io.pod(seq_);
-    io.pod(dispatched_);
-    tracer_.snapState(io);
-
-    // The slot table: the exact generation values and free-list chain
-    // determine which {slot, gen} handles future allocations receive,
-    // so restoring them makes a rewound engine indistinguishable from
-    // a cold-booted one. The pool only ever grows; a restore target
-    // must cover the captured high-water mark.
-    std::uint32_t alloc = allocatedSlots_;
-    io.pod(alloc);
-    std::uint32_t head = freeHead_;
-    io.pod(head);
-    if (io.restoring()) {
-        K2_ASSERT(alloc <= allocatedSlots_);
-        // Slots past the captured high-water mark go back to pristine:
-        // they will be handed out through the bump path with gen 0,
-        // exactly as on a cold engine.
-        for (std::uint32_t s = alloc; s < allocatedSlots_; ++s) {
-            Record &r = rec(s);
-            r.gen = 0;
-            r.nextFree = EventId::kInvalidSlot;
-            r.kind = Record::Kind::Free;
-            r.manager = nullptr;
-        }
-        allocatedSlots_ = alloc;
-        freeHead_ = head;
-    }
-    for (std::uint32_t s = 0; s < alloc; ++s) {
-        Record &r = rec(s);
-        K2_ASSERT(r.kind == Record::Kind::Free);
-        io.pod(r.gen);
-        io.pod(r.nextFree);
-    }
 }
 
 std::uint64_t

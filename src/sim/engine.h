@@ -45,9 +45,6 @@
 #include "sim/trace.h"
 
 namespace k2 {
-namespace snap {
-class Io;
-}
 namespace sim {
 
 /**
@@ -213,18 +210,6 @@ class Engine
     /** The engine's trace ring buffer (disabled by default). */
     Tracer &tracer() { return tracer_; }
     const Tracer &tracer() const { return tracer_; }
-
-    /**
-     * Capture/restore the engine's state (snap::Snapshot).
-     *
-     * Precondition both ways: quiescent -- the event heap (which holds
-     * exactly the live records) is empty, so the slab is one free-list
-     * permutation and no heap position needs saving.
-     * Restore rewrites the clock, the dispatch/sequence counters, the
-     * tracer, and the exact slot-generation + free-list chain, so a
-     * rewound engine hands out byte-identical EventIds to a cold one.
-     */
-    void snapState(snap::Io &io);
 
     /** Record a trace event at the current time (cheap when the
      *  category is disabled -- check tracer().on(cat) before

@@ -19,7 +19,6 @@
 
 #include "sim/engine.h"
 #include "sim/log.h"
-#include "snap/io.h"
 
 namespace k2 {
 namespace sim {
@@ -82,19 +81,6 @@ class Event
     Awaiter wait() { return Awaiter(*this); }
 
     std::size_t waiterCount() const { return waiters_.size(); }
-
-    /**
-     * Capture/restore the latch flag. Parked waiters are persistent
-     * coroutine frames (scheduler core loops, daemon watchers) that
-     * stay structurally in place across a snapshot; their count is
-     * recorded as a structural invariant, never rebuilt from bytes.
-     */
-    void
-    snapState(snap::Io &io)
-    {
-        io.check(waiters_.size(), "Event::waiters");
-        io.pod(set_);
-    }
 
   private:
     void
@@ -178,14 +164,6 @@ class Semaphore
         }
     }
 
-    /** Capture/restore the count (waiters are structural; see Event). */
-    void
-    snapState(snap::Io &io)
-    {
-        io.check(waiters_.size(), "Semaphore::waiters");
-        io.pod(count_);
-    }
-
   private:
     Engine &engine_;
     std::size_t count_;
@@ -236,8 +214,6 @@ class CoMutex
     }
 
     bool locked() const { return sem_.count() == 0; }
-
-    void snapState(snap::Io &io) { sem_.snapState(io); }
 
   private:
     Semaphore sem_;
@@ -314,14 +290,6 @@ class Channel
 
     std::size_t size() const { return items_.size(); }
     bool empty() const { return items_.empty(); }
-
-    /** Capture/restore queued items (waiters are structural). */
-    void
-    snapState(snap::Io &io)
-    {
-        io.check(waiters_.size(), "Channel::waiters");
-        io.podDeque(items_);
-    }
 
   private:
     Engine &engine_;

@@ -3,7 +3,6 @@
 #include <bit>
 
 #include "sim/log.h"
-#include "snap/io.h"
 
 namespace k2 {
 namespace sim {
@@ -108,79 +107,6 @@ Tracer::enableSpans(std::size_t capacity)
             catName(static_cast<TraceCat>(1u << i)));
     }
     spansOn_ = true;
-}
-
-void
-Tracer::snapState(snap::Io &io)
-{
-    io.check(capacity_, "Tracer::capacity");
-    io.pod(enabled_);
-    io.pod(emitted_);
-    io.pod(dropped_);
-
-    std::uint64_t n = io.count(buffer_.size());
-    if (io.restoring()) {
-        buffer_.clear();
-        buffer_.resize(static_cast<std::size_t>(n));
-    }
-    for (auto &r : buffer_) {
-        io.pod(r.when);
-        io.pod(r.cat);
-        io.str(r.text);
-    }
-
-    io.pod(spansOn_);
-    io.pod(spanCapacity_);
-    io.pod(spansDropped_);
-
-    // SpanEvents are serialised field by field: the struct has
-    // padding, and the capture image must be byte-deterministic.
-    // The name pointer is a process-lifetime literal, so storing it
-    // verbatim is safe for the in-memory image.
-    n = io.count(spans_.size());
-    if (io.restoring()) {
-        spans_.clear();
-        spans_.reserve(
-            std::max(static_cast<std::size_t>(n), spanCapacity_));
-        spans_.resize(static_cast<std::size_t>(n));
-    }
-    for (auto &e : spans_) {
-        io.pod(e.ts);
-        io.pod(e.dur);
-        io.pod(e.value);
-        io.pod(e.track);
-        io.pod(e.detail);
-        io.pod(e.phase);
-        auto name = reinterpret_cast<std::uintptr_t>(e.name);
-        io.pod(name);
-        if (io.restoring())
-            e.name = reinterpret_cast<const char *>(name);
-    }
-
-    n = io.count(spanDetails_.size());
-    if (io.restoring()) {
-        spanDetails_.clear();
-        spanDetails_.resize(static_cast<std::size_t>(n));
-    }
-    for (auto &s : spanDetails_)
-        io.str(s);
-
-    // Tracks only ever grow and are deduplicated by name; restore
-    // prunes back to the captured registry (post-capture tracks
-    // re-register on replay and get the same ids, in the same order).
-    n = io.count(tracks_.size());
-    if (io.restoring()) {
-        K2_ASSERT(n <= tracks_.size());
-        tracks_.resize(static_cast<std::size_t>(n));
-    }
-    for (auto &name : tracks_)
-        io.str(name);
-    if (io.restoring()) {
-        trackByName_.clear();
-        for (std::size_t i = 0; i < tracks_.size(); ++i)
-            trackByName_.emplace(tracks_[i], static_cast<TrackId>(i));
-    }
-    io.pod(catTracks_);
 }
 
 void

@@ -40,9 +40,6 @@
 #include "sim/time.h"
 
 namespace k2 {
-namespace snap {
-class Io;
-}
 namespace sim {
 
 /** Trace categories (bitmask). */
@@ -230,15 +227,6 @@ class Tracer
     std::uint64_t spansDropped() const { return spansDropped_; }
 
     /** @} */
-
-    /**
-     * Capture/restore all tracer state: enabled masks, the text ring
-     * buffer, span cursors and events, and the track registry (tracks
-     * added after capture are pruned; they re-register on replay with
-     * the same ids). Span name pointers are process-lifetime literals,
-     * so the image is valid in-memory only.
-     */
-    void snapState(snap::Io &io);
 
   private:
     void

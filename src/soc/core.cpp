@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "sim/log.h"
-#include "snap/io.h"
 
 namespace k2 {
 namespace soc {
@@ -190,30 +189,6 @@ Core::execTime(sim::Duration d)
     beginBusy();
     co_await engine_.sleep(d);
     endBusy();
-}
-
-void
-Core::snapState(snap::Io &io)
-{
-    io.check(client_, "Core::client");
-    io.check(track_, "Core::track");
-    io.pod(point_);
-    io.pod(state_);
-    io.pod(busyCount_);
-    io.pod(waking_);
-    wakeDone_.snapState(io);
-    // At quiescence the timer has fired or been cancelled, so this
-    // handle is stale. The next cancel() still compares its generation
-    // with the restored slot table and, on a match, removes that
-    // slot's heap entry, so restore it bit-exactly.
-    io.pod(inactiveTimer_);
-    io.pod(idleEpoch_);
-    io.pod(lastThreadActivity_);
-    io.pod(lastStateChange_);
-    for (auto &r : residency_)
-        io.pod(r);
-    io.pod(wakeups_);
-    io.pod(instrs_);
 }
 
 sim::Duration

@@ -128,9 +128,6 @@ class Core
     std::uint64_t instructionsRetired() const { return instrs_.value(); }
     /** @} */
 
-    /** Capture/restore power state, residency, and timer epochs. */
-    void snapState(snap::Io &io);
-
   private:
     void setState(PowerState s);
     void beginBusy();

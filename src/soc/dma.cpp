@@ -2,7 +2,6 @@
 
 #include "fault/injector.h"
 #include "sim/log.h"
-#include "snap/io.h"
 
 namespace k2 {
 namespace soc {
@@ -65,25 +64,6 @@ DmaEngine::serve()
             irq_();
     }
     serving_ = false;
-}
-
-void
-DmaEngine::snapState(snap::Io &io)
-{
-    // Quiescence: the mover coroutine has drained and exited.
-    K2_ASSERT(queue_.empty());
-    K2_ASSERT(!serving_);
-    io.check(channelBusy_.size(), "DmaEngine::channels");
-    for (std::size_t i = 0; i < channelBusy_.size(); ++i) {
-        std::uint8_t busy = channelBusy_[i] ? 1 : 0;
-        io.pod(busy);
-        if (io.restoring())
-            channelBusy_[i] = (busy != 0);
-    }
-    io.pod(statusBits_);
-    io.pod(errorBits_);
-    io.pod(completed_);
-    io.pod(bytes_);
 }
 
 std::uint64_t

@@ -81,9 +81,6 @@ class DmaEngine
     /** Engine time to move @p bytes once started (excludes queueing). */
     sim::Duration transferTime(std::uint64_t bytes) const;
 
-    /** Capture/restore latched status bits and counters (idle only). */
-    void snapState(snap::Io &io);
-
   private:
     sim::Task<void> serve();
 

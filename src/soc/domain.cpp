@@ -35,14 +35,6 @@ CoherenceDomain::CoherenceDomain(sim::Engine &eng, EnergyMeter &meter,
     }
 }
 
-void
-CoherenceDomain::snapState(snap::Io &io)
-{
-    for (auto &c : cores_)
-        c->snapState(io);
-    irqCtrl_->snapState(io);
-}
-
 bool
 CoherenceDomain::allInactive() const
 {

@@ -59,9 +59,6 @@ class CoherenceDomain
      */
     sim::Duration refillTime(std::size_t bytes) const;
 
-    /** Capture/restore all cores and the interrupt controller. */
-    void snapState(snap::Io &io);
-
   private:
     sim::Engine &engine_;
     DomainSpec spec_;

@@ -2,7 +2,6 @@
 
 #include "fault/injector.h"
 #include "sim/log.h"
-#include "snap/io.h"
 
 namespace k2 {
 namespace soc {
@@ -94,19 +93,6 @@ InterruptController::reset()
         l.masked = true;
         l.pending = false;
     }
-}
-
-void
-InterruptController::snapState(snap::Io &io)
-{
-    io.check(lines_.size(), "InterruptController::lines");
-    for (Line &l : lines_) {
-        io.check(l.handler ? 1 : 0, "InterruptController::handler");
-        io.pod(l.masked);
-        io.pod(l.pending);
-    }
-    io.pod(delivered_);
-    io.pod(maskedDrops_);
 }
 
 Core &

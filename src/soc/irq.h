@@ -98,13 +98,6 @@ class InterruptController
      */
     void reset();
 
-    /**
-     * Capture/restore per-line mask/pending bits and delivery counts.
-     * Registered handlers are structural (they stay in place across a
-     * restore); only their presence is verified.
-     */
-    void snapState(snap::Io &io);
-
   private:
     sim::Task<void> deliver(IrqLine line);
     Core &pickTargetCore();

@@ -3,7 +3,6 @@
 #include "fault/injector.h"
 #include "obs/metrics.h"
 #include "sim/log.h"
-#include "snap/io.h"
 #include "soc/irq.h"
 
 namespace k2 {
@@ -112,18 +111,6 @@ MailboxNet::pending(DomainId domain) const
 {
     K2_ASSERT(domain < fifos_.size());
     return fifos_[domain].size();
-}
-
-void
-MailboxNet::snapState(snap::Io &io)
-{
-    io.check(fifos_.size(), "MailboxNet::fifos");
-    for (auto &f : fifos_)
-        io.podDeque(f);
-    for (const auto &chan : inflight_)
-        K2_ASSERT(chan.empty());
-    io.pod(delivered_);
-    io.pod(sent_);
 }
 
 void

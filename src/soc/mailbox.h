@@ -100,13 +100,6 @@ class MailboxNet
      */
     void setFaultInjector(fault::FaultInjector *inj) { fault_ = inj; }
 
-    /**
-     * Capture/restore receive FIFOs and traffic counters. In-flight
-     * mail is impossible at quiescence (every posted word has a pending
-     * arrival event), so the per-pair channels are only asserted empty.
-     */
-    void snapState(snap::Io &io);
-
   private:
     /** Deliver the oldest in-flight mail of the (from, to) channel. */
     void deliver(DomainId from, DomainId to);

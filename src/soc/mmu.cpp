@@ -1,7 +1,6 @@
 #include "soc/mmu.h"
 
 #include "sim/log.h"
-#include "snap/io.h"
 
 namespace k2 {
 namespace soc {
@@ -56,26 +55,6 @@ Tlb::flushAll()
 {
     fifo_.clear();
     present_.clear();
-}
-
-void
-Tlb::snapState(snap::Io &io)
-{
-    io.check(capacity_, "Tlb::capacity");
-    io.podDeque(fifo_);
-    if (io.restoring()) {
-        present_.clear();
-        for (std::uint64_t tag : fifo_)
-            present_.insert(tag);
-    }
-    io.pod(hits_);
-    io.pod(misses_);
-}
-
-void
-Mmu::snapState(snap::Io &io)
-{
-    tlb_.snapState(io);
 }
 
 Mmu::Mmu(const CoreSpec &spec)

@@ -28,9 +28,6 @@
 #include "soc/config.h"
 
 namespace k2 {
-namespace snap {
-class Io;
-}
 namespace soc {
 
 /** A virtual page number. */
@@ -75,9 +72,6 @@ class Tlb
 
     std::uint64_t hits() const { return hits_.value(); }
     std::uint64_t misses() const { return misses_.value(); }
-
-    /** Capture/restore resident entries (FIFO order) and counters. */
-    void snapState(snap::Io &io);
 
     double
     missRate() const
@@ -131,8 +125,6 @@ class Mmu
 
     /** Walk cost for one translation miss. */
     sim::Duration walkCost() const { return walkCost_; }
-
-    void snapState(snap::Io &io);
 
   private:
     MmuKind kind_;

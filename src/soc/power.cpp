@@ -1,7 +1,6 @@
 #include "soc/power.h"
 
 #include "sim/log.h"
-#include "snap/io.h"
 
 namespace k2 {
 namespace soc {
@@ -90,21 +89,6 @@ EnergyMeter::railName(RailId rail) const
 {
     K2_ASSERT(rail < rails_.size());
     return rails_[rail].name;
-}
-
-void
-EnergyMeter::snapState(snap::Io &io)
-{
-    io.check(rails_.size(), "EnergyMeter::rails");
-    for (Rail &r : rails_) {
-        io.check(r.clientMw.size(), "EnergyMeter::clients");
-        io.check(r.track, "EnergyMeter::track");
-        for (double &mw : r.clientMw)
-            io.pod(mw);
-        io.pod(r.totalMw);
-        io.pod(r.accumulatedUj);
-        io.pod(r.lastChange);
-    }
 }
 
 EnergyMeter::Snapshot

@@ -83,9 +83,6 @@ class EnergyMeter
     /** Capture the current accumulated energies. */
     Snapshot snapshot() const;
 
-    /** Capture/restore per-rail energy integrals and client draws. */
-    void snapState(snap::Io &io);
-
   private:
     struct Rail
     {

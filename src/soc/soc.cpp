@@ -3,7 +3,6 @@
 #include "fault/injector.h"
 #include "obs/metrics.h"
 #include "sim/log.h"
-#include "snap/io.h"
 
 namespace k2 {
 namespace soc {
@@ -57,18 +56,6 @@ Soc::raiseSharedIrq(IrqLine line)
     // ours do) check their device's status register.
     for (auto &d : domains_)
         d->irqCtrl().raise(line);
-}
-
-void
-Soc::snapState(snap::Io &io)
-{
-    io.pod(nextTid_);
-    meter_.snapState(io);
-    for (auto &d : domains_)
-        d->snapState(io);
-    mailbox_->snapState(io);
-    spinlocks_->snapState(io);
-    dma_->snapState(io);
 }
 
 void

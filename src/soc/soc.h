@@ -97,14 +97,6 @@ class Soc
      */
     void registerMetrics(obs::MetricsRegistry &reg) const;
 
-    /**
-     * Capture/restore all hardware state: the tid counter, energy
-     * meter, every domain (cores + interrupt controllers), mailboxes,
-     * spinlocks, and the DMA engine. The owning image captures the
-     * engine itself.
-     */
-    void snapState(snap::Io &io);
-
   private:
     sim::Engine &engine_;
     SocConfig config_;

@@ -18,7 +18,6 @@
 #include "sim/engine.h"
 #include "sim/stats.h"
 #include "sim/task.h"
-#include "snap/io.h"
 #include "soc/core.h"
 
 namespace k2 {
@@ -78,21 +77,6 @@ class HwSpinlockBank
     std::uint64_t acquisitions() const { return acquisitions_.value(); }
     std::uint64_t contendedPolls() const { return contended_.value(); }
     /** @} */
-
-    /** Capture/restore lock bits and contention counters. */
-    void
-    snapState(snap::Io &io)
-    {
-        io.check(taken_.size(), "HwSpinlockBank::locks");
-        for (std::size_t i = 0; i < taken_.size(); ++i) {
-            std::uint8_t t = taken_[i] ? 1 : 0;
-            io.pod(t);
-            if (io.restoring())
-                taken_[i] = (t != 0);
-        }
-        io.pod(acquisitions_);
-        io.pod(contended_);
-    }
 
   private:
     sim::Engine &engine_;

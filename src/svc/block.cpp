@@ -1,7 +1,5 @@
 #include "svc/block.h"
 
-#include <cstring>
-
 #include "sim/log.h"
 #include "soc/core.h"
 
@@ -10,9 +8,7 @@ namespace svc {
 
 RamDisk::RamDisk(std::size_t block_bytes, std::uint64_t num_blocks,
                  std::uint64_t request_instr)
-    : blockBytes_(block_bytes), numBlocks_(num_blocks),
-      requestInstr_(request_instr), data_(block_bytes * num_blocks),
-      dirty_(num_blocks, false)
+    : requestInstr_(request_instr), store_(block_bytes, num_blocks)
 {}
 
 sim::Duration
@@ -21,18 +17,18 @@ RamDisk::copyTime(const kern::Thread &t) const
     const double bw =
         const_cast<kern::Thread &>(t).core().spec().memBytesPerSec;
     return static_cast<sim::Duration>(
-        static_cast<double>(blockBytes_) / bw * 1e12);
+        static_cast<double>(blockBytes()) / bw * 1e12);
 }
 
 sim::Task<void>
 RamDisk::read(kern::Thread &t, std::uint64_t block,
               std::span<std::uint8_t> out)
 {
-    K2_ASSERT(block < numBlocks_);
-    K2_ASSERT(out.size() == blockBytes_);
+    K2_ASSERT(block < numBlocks());
+    K2_ASSERT(out.size() == blockBytes());
     co_await t.exec(requestInstr_);
     co_await t.execTime(copyTime(t));
-    std::memcpy(out.data(), &data_[block * blockBytes_], blockBytes_);
+    store_.read(block, out);
     reads.inc();
 }
 
@@ -40,66 +36,12 @@ sim::Task<void>
 RamDisk::write(kern::Thread &t, std::uint64_t block,
                std::span<const std::uint8_t> in)
 {
-    K2_ASSERT(block < numBlocks_);
-    K2_ASSERT(in.size() == blockBytes_);
+    K2_ASSERT(block < numBlocks());
+    K2_ASSERT(in.size() == blockBytes());
     co_await t.exec(requestInstr_);
     co_await t.execTime(copyTime(t));
-    std::memcpy(&data_[block * blockBytes_], in.data(), blockBytes_);
-    if (!dirty_[block]) {
-        dirty_[block] = true;
-        ++dirtyCount_;
-    }
+    store_.write(block, in);
     writes.inc();
-}
-
-void
-RamDisk::snapState(snap::Io &io)
-{
-    io.check(blockBytes_, "RamDisk::blockBytes");
-    io.check(numBlocks_, "RamDisk::numBlocks");
-    io.pod(reads);
-    io.pod(writes);
-
-    if (io.capturing()) {
-        io.count(dirtyCount_);
-        // The bitmap scan yields ascending indices: deterministic
-        // bytes for identical disk contents.
-        for (std::uint64_t b = 0; b < numBlocks_; ++b) {
-            if (!dirty_[b])
-                continue;
-            io.pod(b);
-            io.bytes(&data_[b * blockBytes_], blockBytes_);
-        }
-    } else {
-        const std::uint64_t n = io.count(0);
-        // Write-only dirtying means the instance's dirty set is a
-        // superset of the image's. Walk both ascending sets in step:
-        // re-zero blocks dirtied only after the capture, reload the
-        // captured ones.
-        std::uint64_t imageBlock = numBlocks_; // sentinel: none left
-        std::uint64_t taken = 0;
-        if (taken < n)
-            io.pod(imageBlock);
-        for (std::uint64_t b = 0; b < numBlocks_; ++b) {
-            if (!dirty_[b])
-                continue;
-            if (taken < n && b == imageBlock) {
-                io.bytes(&data_[b * blockBytes_], blockBytes_);
-                ++taken;
-                imageBlock = numBlocks_;
-                if (taken < n)
-                    io.pod(imageBlock);
-            } else {
-                std::memset(&data_[b * blockBytes_], 0, blockBytes_);
-                dirty_[b] = false;
-            }
-        }
-        if (taken != n)
-            K2_FATAL("RamDisk image holds %llu blocks not dirty in the "
-                     "target",
-                     static_cast<unsigned long long>(n - taken));
-        dirtyCount_ = n;
-    }
 }
 
 } // namespace svc

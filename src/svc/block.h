@@ -9,47 +9,66 @@
 #define K2_SVC_BLOCK_H
 
 #include <cstdint>
-#include <cstdlib>
-#include <new>
+#include <cstring>
+#include <memory>
 #include <span>
 #include <vector>
 
 #include "sim/stats.h"
 #include "sim/task.h"
 #include "kern/thread.h"
-#include "snap/io.h"
 
 namespace k2 {
 namespace svc {
 
 /**
- * Zero-filled backing store for simulated disks.
+ * Sparse backing store for simulated disks.
  *
- * A value-initialised std::vector would memset (and fault in) the
- * whole device at construction -- tens of milliseconds for a 64 MB
- * disk, which dominated testbed boot. calloc hands back the kernel's
- * copy-on-write zero pages instead: untouched blocks cost nothing
- * until first written and still read as zeroes.
+ * A block is allocated on its first write; a block never written
+ * reads as zeroes. Booting a 64 MB disk therefore costs one null
+ * pointer per block, and a disk's host memory follows its working
+ * set, not its capacity.
  */
-class ZeroedStore
+class BlockStore
 {
   public:
-    explicit ZeroedStore(std::size_t bytes)
-        : p_(static_cast<std::uint8_t *>(std::calloc(bytes ? bytes : 1, 1)))
+    BlockStore(std::size_t block_bytes, std::uint64_t num_blocks)
+        : blockBytes_(block_bytes), blocks_(num_blocks)
+    {}
+
+    std::size_t blockBytes() const { return blockBytes_; }
+    std::uint64_t numBlocks() const { return blocks_.size(); }
+
+    /** Blocks written at least once (the ones holding host memory). */
+    std::uint64_t allocatedBlocks() const { return allocated_; }
+
+    /** Copy block @p b into @p out (blockBytes() long). */
+    void
+    read(std::uint64_t b, std::span<std::uint8_t> out) const
     {
-        if (!p_)
-            throw std::bad_alloc();
+        if (const std::uint8_t *p = blocks_[b].get())
+            std::memcpy(out.data(), p, blockBytes_);
+        else
+            std::memset(out.data(), 0, blockBytes_);
     }
 
-    ~ZeroedStore() { std::free(p_); }
-    ZeroedStore(const ZeroedStore &) = delete;
-    ZeroedStore &operator=(const ZeroedStore &) = delete;
-
-    std::uint8_t &operator[](std::size_t i) { return p_[i]; }
-    const std::uint8_t &operator[](std::size_t i) const { return p_[i]; }
+    /** Copy @p in (blockBytes() long) into block @p b. */
+    void
+    write(std::uint64_t b, std::span<const std::uint8_t> in)
+    {
+        std::unique_ptr<std::uint8_t[]> &p = blocks_[b];
+        if (!p) {
+            p = std::make_unique_for_overwrite<std::uint8_t[]>(
+                blockBytes_);
+            ++allocated_;
+        }
+        std::memcpy(p.get(), in.data(), blockBytes_);
+    }
 
   private:
-    std::uint8_t *p_;
+    std::size_t blockBytes_;
+    std::vector<std::unique_ptr<std::uint8_t[]>> blocks_;
+    std::uint64_t allocated_ = 0;
 };
 
 /** A synchronous block device accessed from thread context. */
@@ -85,8 +104,15 @@ class RamDisk : public BlockDevice
     RamDisk(std::size_t block_bytes, std::uint64_t num_blocks,
             std::uint64_t request_instr = 150);
 
-    std::size_t blockBytes() const override { return blockBytes_; }
-    std::uint64_t numBlocks() const override { return numBlocks_; }
+    std::size_t blockBytes() const override
+    {
+        return store_.blockBytes();
+    }
+
+    std::uint64_t numBlocks() const override
+    {
+        return store_.numBlocks();
+    }
 
     sim::Task<void> read(kern::Thread &t, std::uint64_t block,
                          std::span<std::uint8_t> out) override;
@@ -98,27 +124,14 @@ class RamDisk : public BlockDevice
     sim::Counter writes;
     /** @} */
 
-    /** Blocks written at least once (the copy-on-write working set). */
-    std::uint64_t dirtyBlocks() const { return dirtyCount_; }
-
-    /**
-     * Capture/restore. The backing store starts zero-filled and only
-     * write() dirties it, so the image holds just the ever-written
-     * blocks; restore re-zeroes blocks the instance dirtied after the
-     * capture point. This keeps snapshots proportional to the disk's
-     * working set, not its capacity.
-     */
-    void snapState(snap::Io &io);
+    /** Blocks written at least once. */
+    std::uint64_t allocatedBlocks() const { return store_.allocatedBlocks(); }
 
   private:
     sim::Duration copyTime(const kern::Thread &t) const;
 
-    std::size_t blockBytes_;
-    std::uint64_t numBlocks_;
     std::uint64_t requestInstr_;
-    ZeroedStore data_;
-    std::vector<bool> dirty_;     //!< Per-block ever-written bit.
-    std::uint64_t dirtyCount_ = 0;
+    BlockStore store_;
 };
 
 } // namespace svc

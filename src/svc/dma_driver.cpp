@@ -2,7 +2,6 @@
 
 #include "obs/metrics.h"
 #include "sim/log.h"
-#include "snap/io.h"
 #include "soc/irq.h"
 
 namespace k2 {
@@ -190,26 +189,6 @@ DmaDriver::registerMetrics(obs::MetricsRegistry &reg,
         reg.addCounter(prefix + ".transfer_errors", transferErrors);
         reg.addCounter(prefix + ".irq_polls", irqPolls);
     }
-}
-
-void
-DmaDriver::snapState(snap::Io &io)
-{
-    io.check(channels_.size(), "DmaDriver::channels");
-    io.check(recovery_ ? 1 : 0, "DmaDriver::recovery");
-    for (Channel &c : channels_) {
-        // A busy channel has a sleeping requester and an outstanding
-        // completion interrupt -- impossible at quiescence.
-        K2_ASSERT(!c.busy);
-        io.pod(c.bytes);
-        c.done->snapState(io);
-    }
-    io.pod(transfers);
-    io.pod(bytesMoved);
-    io.pod(irqsHandled);
-    io.pod(transferUs);
-    io.pod(transferErrors);
-    io.pod(irqPolls);
 }
 
 } // namespace svc

@@ -84,10 +84,6 @@ class DmaDriver
                          const std::string &prefix) const;
     /** @} */
 
-    /** Capture/restore. Quiescence implies no transfer in flight
-     *  (a busy channel has a sleeping requester and a pending IRQ). */
-    void snapState(snap::Io &io);
-
   private:
     sim::Task<void> completionIsr(kern::Kernel &kern, soc::Core &core);
     sim::Task<void> harvest(kern::Kernel &kern, soc::Core &core);

@@ -6,7 +6,6 @@
 
 #include "obs/metrics.h"
 #include "sim/log.h"
-#include "snap/io.h"
 
 namespace k2 {
 namespace svc {
@@ -830,26 +829,6 @@ Ext2Fs::registerMetrics(obs::MetricsRegistry &reg,
     reg.addGauge(prefix + ".free_inodes", [this]() {
         return static_cast<double>(freeInodes());
     });
-}
-
-void
-Ext2Fs::snapState(snap::Io &io)
-{
-    io.check(numInodes_, "Ext2Fs::numInodes");
-    io.pod(sb_);
-    io.pod(formatted_);
-    io.pod(opsCreate);
-    io.pod(opsWrite);
-    io.pod(opsRead);
-    io.pod(opsUnlink);
-
-    // Open-file table. Field-wise: OpenFile has interior padding.
-    io.check(fds_.size(), "Ext2Fs::fds");
-    for (OpenFile &f : fds_) {
-        io.pod(f.ino);
-        io.pod(f.offset);
-        io.pod(f.used);
-    }
 }
 
 } // namespace svc

@@ -146,10 +146,6 @@ class Ext2Fs
                          const std::string &prefix) const;
     /** @} */
 
-    /** Capture/restore: superblock cache, open-file table, stats.
-     *  (On-disk state is captured by the backing device.) */
-    void snapState(snap::Io &io);
-
   private:
     struct Superblock
     {
@@ -280,7 +276,7 @@ class Ext2Fs
     bool formatted_ = false;
     std::unique_ptr<os::SharedRegion> state_;
     std::vector<OpenFile> fds_;
-    /** Scratch buffer pool (host-side only; never snapshotted). */
+    /** Scratch buffer pool (host-side only). */
     std::vector<std::vector<std::uint8_t>> scratchPool_;
 };
 

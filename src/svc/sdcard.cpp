@@ -3,7 +3,6 @@
 #include <cstring>
 
 #include "sim/log.h"
-#include "snap/io.h"
 #include "soc/core.h"
 
 namespace k2 {
@@ -15,23 +14,22 @@ SdCard::SdCard(std::size_t block_bytes, std::uint64_t num_blocks)
 
 SdCard::SdCard(std::size_t block_bytes, std::uint64_t num_blocks,
                Timing timing)
-    : blockBytes_(block_bytes), numBlocks_(num_blocks), timing_(timing),
-      data_(block_bytes * num_blocks), dirty_(num_blocks)
+    : timing_(timing), store_(block_bytes, num_blocks)
 {}
 
 sim::Task<void>
 SdCard::read(kern::Thread &t, std::uint64_t block,
              std::span<std::uint8_t> out)
 {
-    K2_ASSERT(block < numBlocks_);
-    K2_ASSERT(out.size() == blockBytes_);
+    K2_ASSERT(block < numBlocks());
+    K2_ASSERT(out.size() == blockBytes());
     // Issue the command (CPU), then block while the card transfers.
     co_await t.exec(200);
     const auto xfer = static_cast<sim::Duration>(
-        static_cast<double>(blockBytes_) / timing_.readBytesPerSec *
+        static_cast<double>(blockBytes()) / timing_.readBytesPerSec *
         1e12);
     co_await t.sleep(timing_.commandLatency + xfer);
-    std::memcpy(out.data(), &data_[block * blockBytes_], blockBytes_);
+    store_.read(block, out);
     reads.inc();
 }
 
@@ -39,12 +37,12 @@ sim::Task<void>
 SdCard::write(kern::Thread &t, std::uint64_t block,
               std::span<const std::uint8_t> in)
 {
-    K2_ASSERT(block < numBlocks_);
-    K2_ASSERT(in.size() == blockBytes_);
+    K2_ASSERT(block < numBlocks());
+    K2_ASSERT(in.size() == blockBytes());
     co_await t.exec(200);
     sim::Duration xfer = timing_.commandLatency +
                          static_cast<sim::Duration>(
-                             static_cast<double>(blockBytes_) /
+                             static_cast<double>(blockBytes()) /
                              timing_.writeBytesPerSec * 1e12);
     if (++writesSinceGc_ >= timing_.gcEvery) {
         writesSinceGc_ = 0;
@@ -52,58 +50,8 @@ SdCard::write(kern::Thread &t, std::uint64_t block,
         xfer += timing_.gcPause;
     }
     co_await t.sleep(xfer);
-    std::memcpy(&data_[block * blockBytes_], in.data(), blockBytes_);
-    if (!dirty_[block]) {
-        dirty_[block] = true;
-        ++dirtyCount_;
-    }
+    store_.write(block, in);
     writes.inc();
-}
-
-void
-SdCard::snapState(snap::Io &io)
-{
-    io.check(blockBytes_, "SdCard::blockBytes");
-    io.check(numBlocks_, "SdCard::numBlocks");
-    io.pod(reads);
-    io.pod(writes);
-    io.pod(gcPauses);
-    io.pod(writesSinceGc_);
-
-    if (io.capturing()) {
-        io.count(dirtyCount_);
-        for (std::uint64_t b = 0; b < numBlocks_; ++b) {
-            if (!dirty_[b])
-                continue;
-            io.pod(b);
-            io.bytes(&data_[b * blockBytes_], blockBytes_);
-        }
-    } else {
-        const std::uint64_t n = io.count(0);
-        std::uint64_t imageBlock = numBlocks_; // sentinel: none left
-        std::uint64_t taken = 0;
-        if (taken < n)
-            io.pod(imageBlock);
-        for (std::uint64_t b = 0; b < numBlocks_; ++b) {
-            if (!dirty_[b])
-                continue;
-            if (taken < n && b == imageBlock) {
-                io.bytes(&data_[b * blockBytes_], blockBytes_);
-                ++taken;
-                imageBlock = numBlocks_;
-                if (taken < n)
-                    io.pod(imageBlock);
-            } else {
-                std::memset(&data_[b * blockBytes_], 0, blockBytes_);
-                dirty_[b] = false;
-            }
-        }
-        if (taken != n)
-            K2_FATAL("snapshot restore: SD image has %llu blocks the "
-                     "card never dirtied",
-                     static_cast<unsigned long long>(n - taken));
-        dirtyCount_ = n;
-    }
 }
 
 CachedBlockDevice::CachedBlockDevice(BlockDevice &backing,
@@ -207,42 +155,6 @@ CachedBlockDevice::flush(kern::Thread &t)
             writebacks.inc();
             co_await backing_.write(t, *it, e.data);
             e.dirty = false;
-        }
-    }
-}
-
-void
-CachedBlockDevice::snapState(snap::Io &io)
-{
-    io.check(capacity_, "CachedBlockDevice::capacity");
-    io.pod(hits);
-    io.pod(misses);
-    io.pod(writebacks);
-
-    // Entries in LRU order, front (MRU) first. Restore rebuilds both
-    // containers from scratch -- unlike the structural tables, a block
-    // cache holds no host resources beyond its payload bytes.
-    std::uint64_t n = io.count(lru_.size());
-    if (io.restoring()) {
-        entries_.clear();
-        lru_.clear();
-        for (std::uint64_t i = 0; i < n; ++i) {
-            std::uint64_t block = 0;
-            io.pod(block);
-            Entry e;
-            e.data.resize(backing_.blockBytes());
-            io.bytes(e.data.data(), e.data.size());
-            io.pod(e.dirty);
-            lru_.push_back(block);
-            e.lruPos = std::prev(lru_.end());
-            entries_.emplace(block, std::move(e));
-        }
-    } else {
-        for (std::uint64_t block : lru_) {
-            Entry &e = entries_.at(block);
-            io.pod(block);
-            io.bytes(e.data.data(), e.data.size());
-            io.pod(e.dirty);
         }
     }
 }

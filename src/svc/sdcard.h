@@ -48,8 +48,15 @@ class SdCard : public BlockDevice
     SdCard(std::size_t block_bytes, std::uint64_t num_blocks,
            Timing timing);
 
-    std::size_t blockBytes() const override { return blockBytes_; }
-    std::uint64_t numBlocks() const override { return numBlocks_; }
+    std::size_t blockBytes() const override
+    {
+        return store_.blockBytes();
+    }
+
+    std::uint64_t numBlocks() const override
+    {
+        return store_.numBlocks();
+    }
 
     sim::Task<void> read(kern::Thread &t, std::uint64_t block,
                          std::span<std::uint8_t> out) override;
@@ -62,16 +69,9 @@ class SdCard : public BlockDevice
     sim::Counter gcPauses;
     /** @} */
 
-    /** Capture/restore: dirty blocks only, as for RamDisk. */
-    void snapState(snap::Io &io);
-
   private:
-    std::size_t blockBytes_;
-    std::uint64_t numBlocks_;
     Timing timing_;
-    ZeroedStore data_;
-    std::vector<bool> dirty_;       //!< Per-block: written since boot.
-    std::uint64_t dirtyCount_ = 0;
+    BlockStore store_;
     std::uint32_t writesSinceGc_ = 0;
 };
 
@@ -120,13 +120,6 @@ class CachedBlockDevice : public BlockDevice
     sim::Counter misses;
     sim::Counter writebacks;
     /** @} */
-
-    /**
-     * Capture/restore. Cache contents are plain data (no parked
-     * coroutines), so restore rebuilds the entry map and LRU order
-     * wholesale from the image.
-     */
-    void snapState(snap::Io &io);
 
   private:
     struct Entry

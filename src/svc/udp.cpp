@@ -4,7 +4,6 @@
 
 #include "obs/metrics.h"
 #include "sim/log.h"
-#include "snap/io.h"
 
 namespace k2 {
 namespace svc {
@@ -266,36 +265,6 @@ UdpStack::registerMetrics(obs::MetricsRegistry &reg,
     reg.addCounter(prefix + ".packets_dropped", packetsDropped);
     reg.addCounter(prefix + ".bytes_sent", bytesSent);
     reg.addCounter(prefix + ".sockets_created", socketsCreated);
-}
-
-void
-UdpStack::snapState(snap::Io &io)
-{
-    io.pod(nextEphemeral_);
-    io.pod(packetsSent);
-    io.pod(packetsDropped);
-    io.pod(bytesSent);
-    io.pod(socketsCreated);
-
-    io.check(sockets_.size(), "UdpStack::sockets");
-    for (Socket &s : sockets_) {
-        io.pod(s.used);
-        io.pod(s.port);
-        io.pod(s.rxBytes);
-        std::uint64_t n = io.count(s.rxQueue.size());
-        if (io.restoring()) {
-            s.rxQueue.clear();
-            for (std::uint64_t i = 0; i < n; ++i) {
-                std::vector<std::uint8_t> dgram;
-                io.podVec(dgram);
-                s.rxQueue.push_back(std::move(dgram));
-            }
-        } else {
-            for (auto &dgram : s.rxQueue)
-                io.podVec(dgram);
-        }
-        s.readable->snapState(io);
-    }
 }
 
 } // namespace svc

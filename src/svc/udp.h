@@ -100,10 +100,6 @@ class UdpStack
                          const std::string &prefix) const;
     /** @} */
 
-    /** Capture/restore: socket table (ports, receive queues), the
-     *  ephemeral-port cursor, and stats. */
-    void snapState(snap::Io &io);
-
   private:
     struct Socket
     {

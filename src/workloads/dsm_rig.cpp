@@ -34,17 +34,6 @@ DsmRig::DsmRig(std::size_t domains, os::coherence::ProtocolKind proto,
 }
 
 void
-DsmRig::snapState(snap::Io &io)
-{
-    eng.snapState(io);
-    soc->snapState(io);
-    for (auto &k : kernels)
-        k->snapState(io);
-    dsm->snapState(io);
-    proc->snapState(io);
-}
-
-void
 DsmRig::touch(std::size_t k, std::uint64_t page, os::Access rw)
 {
     kernels[k]->spawnThread(

@@ -33,11 +33,6 @@ struct DsmRig
     DsmRig(std::size_t domains, os::coherence::ProtocolKind proto,
            std::uint64_t pages = 4096);
 
-    sim::Engine &engine() { return eng; }
-
-    /** Warm-fixture capture/restore of the whole rig. */
-    void snapState(snap::Io &io);
-
     /** Run one access of kernel @p k to @p page to completion. */
     void touch(std::size_t k, std::uint64_t page, os::Access rw);
 

@@ -250,21 +250,18 @@ calibrate(Testbed &tb)
 }
 
 const Calibration &
-calibrationFor(SweepMode mode, const std::string &key,
+calibrationFor(const std::string &key,
                const std::function<os::K2Config()> &makeConfig)
 {
-    // thread_local like the warm-fixture pool: lanes never contend,
-    // and the cache lives for the thread -- repeated runFleet calls
-    // (a parameter sweep) pay one calibration per unique config.
+    // thread_local: lanes never contend, and the cache lives for the
+    // thread -- repeated runFleet calls (a parameter sweep) pay one
+    // calibration per unique config.
     thread_local std::map<std::string, Calibration> cache;
-    // Mode-qualified key: a cold-mode caller still measures a real
-    // cold boot the first time, as the historical cost model expects.
-    std::string full =
-        (mode == SweepMode::Cold ? "cold:" : "warm:") + key;
-    auto it = cache.find(full);
+    auto it = cache.find(key);
     if (it == cache.end()) {
-        Testbed &tb = warmK2(mode, key, makeConfig);
-        it = cache.emplace(std::move(full), calibrate(tb)).first;
+        Testbed tb = makeConfig ? Testbed::makeK2(makeConfig())
+                                : Testbed::makeK2();
+        it = cache.emplace(key, calibrate(tb)).first;
     }
     return it->second;
 }
@@ -445,14 +442,11 @@ runFleet(const FleetConfig &cfg)
                            mix, lo, hi](std::size_t laneIdx) {
             Lane &lane = lanes.at(laneIdx);
             // Ground the episode models in the full simulation --
-            // memoized: one measurement per (sweep mode, config) per
-            // worker thread, bit-identical to recalibrating every
-            // cell because a warm fork restores the exact post-boot
-            // state (and cold boots are reproducible). Cold mode
-            // still pays its first boot cold, preserving the
-            // historical cost model's entry point.
+            // memoized: one measurement per config per worker thread,
+            // bit-identical to recalibrating every cell because cold
+            // boots are reproducible.
             const Calibration &cal =
-                calibrationFor(cfg.sweep, fixtureKey, makeConfig);
+                calibrationFor(fixtureKey, makeConfig);
             if (!lane.calibrated) {
                 lane.cal = cal;
                 lane.calibrated = true;
@@ -475,9 +469,9 @@ runFleet(const FleetConfig &cfg)
         }
     }
 
-    // Render the report. Deliberately silent about --jobs and
-    // --sweep: the artifact must diff clean across both. --diurnal
-    // appears only when set, keeping unset artifacts byte-identical.
+    // Render the report. Deliberately silent about --jobs: the
+    // artifact must diff clean across job counts. --diurnal appears
+    // only when set, keeping unset artifacts byte-identical.
     const FleetStats &fs = res.stats;
     const sim::QuantileSketch episodeEnergyUj = fs.episodeEnergy();
     std::uint64_t totalEpisodes = 0;

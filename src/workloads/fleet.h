@@ -9,14 +9,12 @@
  * (UDP), and periodic cloud sync (ext2 + UDP). It is a two-level
  * model:
  *
- *  1. Grounding: episode kinds are *measured* on a warm-forked K2
- *     testbed (wl::warmFixture) at two payload sizes each, yielding a
- *     per-kind linear energy/latency model (Calibration). The
- *     snapshot layer's warm==cold guarantee makes these measurements
- *     byte-identical in either sweep mode, which is what lets
- *     calibrationFor() memoize them: one calibration per unique
- *     (sweep mode, config key) per host thread, bit-identical to
- *     recalibrating every cell.
+ *  1. Grounding: episode kinds are *measured* on a freshly booted K2
+ *     testbed at two payload sizes each, yielding a per-kind linear
+ *     energy/latency model (Calibration). Cold boots are
+ *     deterministic, which is what lets calibrationFor() memoize
+ *     them: one calibration per unique config key per host thread,
+ *     bit-identical to recalibrating every cell.
  *
  *  2. Population synthesis: devices are drawn from a seeded
  *     generator -- per-device parameter jitter over app mix, arrival
@@ -34,7 +32,7 @@
  * accumulate into per-lane FleetStats partials (SweepRunner's
  * streaming-reducer mode), which fold with QuantileSketch::merge --
  * exactly associative and commutative -- so the fleet report is
- * byte-identical at any --jobs=N and between --sweep=warm|cold.
+ * byte-identical at any --jobs=N.
  */
 
 #ifndef K2_WORKLOADS_FLEET_H
@@ -100,7 +98,7 @@ DeviceModel makeDevice(std::uint64_t seed, std::uint64_t id,
 
 /**
  * Per-kind measured episode cost: linear in payload bytes, fitted
- * from two full-simulation measurements on a (warm-forked) testbed.
+ * from two full-simulation measurements on a freshly booted testbed.
  */
 struct EpisodeModel
 {
@@ -125,21 +123,29 @@ Calibration calibrate(Testbed &tb);
 /**
  * Memoized calibration for one canonical configuration.
  *
- * @p key is the configuration identity (same contract as
- * warmFixture's key: configs that provision identical testbeds must
- * agree, different configs must not collide). The first call per
- * (sweep mode, key) on a host thread provisions a testbed through
- * warmK2() and measures it with calibrate(); later calls return the
- * cached model without touching the simulation. Because a warm fork
- * restores the exact post-boot state, the cached result is
- * bit-identical to recalibrating (a test asserts this), so sweep
+ * @p key is the configuration identity: configs that provision
+ * identical testbeds must agree, different configs must not collide.
+ * The first call per key on a host thread boots a testbed from
+ * @p makeConfig (null: the default K2Config) and measures it with
+ * calibrate(); later calls return the cached model without touching
+ * the simulation. A cold boot is deterministic, so the cached result
+ * is bit-identical to recalibrating (a test asserts this) and sweep
  * artifacts are unchanged -- only the per-cell simulation cost is
- * gone. The cache is thread_local, mirroring the warm-fixture pool:
- * no locks, and SweepRunner lanes never share an entry.
+ * gone. The cache is thread_local: no locks, and SweepRunner lanes
+ * never share an entry.
  */
 const Calibration &
-calibrationFor(SweepMode mode, const std::string &key,
+calibrationFor(const std::string &key,
                const std::function<os::K2Config()> &makeConfig = {});
+
+/** calibrationFor() for callers that still name a SweepMode: both
+ *  modes boot cold (see warm.h), so the mode is not part of the key. */
+inline const Calibration &
+calibrationFor(SweepMode, const std::string &key,
+               const std::function<os::K2Config()> &makeConfig = {})
+{
+    return calibrationFor(key, makeConfig);
+}
 
 /**
  * Streaming aggregate over any shard of the fleet. All fields merge
@@ -193,7 +199,6 @@ struct FleetConfig
     std::uint64_t seed = 42;
     std::string faults;           //!< FaultPlan spec; empty = none.
     std::size_t replicas = 1;     //!< Shadow replication degree.
-    SweepMode sweep = SweepMode::Warm;
     unsigned jobs = 0;            //!< 0 = hardware concurrency.
 
     /**
@@ -220,8 +225,7 @@ struct FleetResult
  * Run the whole fleet: shard devices into cells, calibrate +
  * synthesise each cell on the sweep runner's reduction lanes, fold
  * the lane partials, and render the report. Deterministic for a
- * given config: byte-identical text/json at any jobs count and in
- * both sweep modes.
+ * given config: byte-identical text/json at any jobs count.
  */
 FleetResult runFleet(const FleetConfig &cfg);
 

@@ -3,12 +3,12 @@
  * The `fleet` binary: fleet-scale device population simulation.
  *
  *   fleet [--devices=N] [--hours=H] [--mix=NAME] [--seed=N]
- *         [--jobs=N] [--sweep=warm|cold] [--faults=SPEC]
- *         [--replicas=N] [--diurnal=AMPL] [--report=FILE]
+ *         [--jobs=N] [--faults=SPEC] [--replicas=N]
+ *         [--diurnal=AMPL] [--report=FILE]
  *
  * Simulates N devices' background traffic over H hours (see
  * DESIGN.md §11-12): per-kind episode costs are measured once per
- * unique config on a warm-forked K2 testbed (memoized), then the
+ * unique config on a freshly booted K2 testbed (memoized), then the
  * device population's episode timelines are synthesised in batches
  * through mergeable quantile sketches. --diurnal=AMPL modulates
  * arrival rates sinusoidally over the day with amplitude AMPL in
@@ -17,10 +17,9 @@
  * p50/p90/p99/p99.9 tails; --report additionally writes the sketches
  * as a JSON artifact.
  *
- * Both stdout and the report file are byte-identical at any --jobs=N
- * and between --sweep=warm|cold; the host-side throughput line
- * (simulated device-hours per second) goes to stderr so artifacts
- * stay diffable.
+ * Both stdout and the report file are byte-identical at any --jobs=N;
+ * the host-side throughput line (simulated device-hours per second)
+ * goes to stderr so artifacts stay diffable.
  */
 
 #include <chrono>
@@ -34,7 +33,6 @@
 #include "workloads/fleet.h"
 #include "workloads/report.h"
 #include "workloads/sweep.h"
-#include "workloads/warm.h"
 
 namespace {
 
@@ -45,8 +43,7 @@ usage()
         stderr,
         "usage: fleet [--devices=N] [--hours=H] [--mix=NAME] "
         "[--seed=N]\n"
-        "             [--jobs=N] [--sweep=warm|cold] "
-        "[--faults=SPEC]\n"
+        "             [--jobs=N] [--faults=SPEC]\n"
         "             [--replicas=N] [--diurnal=AMPL] "
         "[--report=FILE]\n"
         "mixes: %s\n",
@@ -64,7 +61,6 @@ main(int argc, char **argv)
     std::string reportFile;
     try {
         cfg.jobs = wl::parseJobsFlag(argc, argv);
-        cfg.sweep = wl::parseSweepFlag(argc, argv);
         cfg.faults = wl::parseFaultsFlag(argc, argv);
         cfg.devices = wl::parseUintFlag(argc, argv, "--devices=",
                                         cfg.devices, 1, 100000000);
@@ -95,7 +91,8 @@ main(int argc, char **argv)
         reportFile =
             wl::parseStringFlag(argc, argv, "--report=", "");
         if (argc != 1) {
-            std::fprintf(stderr, "unknown argument '%s'\n", argv[1]);
+            std::fprintf(stderr, "fleet: unknown argument '%s'\n",
+                         argv[1]);
             usage();
             return 2;
         }
@@ -148,10 +145,9 @@ main(int argc, char **argv)
         static_cast<double>(cfg.devices) * cfg.hours;
     std::fprintf(stderr,
                  "fleet: %.0f device-hours in %.2f s host time "
-                 "(%.0f dh/s, %llu cells, %s)\n",
+                 "(%.0f dh/s, %llu cells)\n",
                  deviceHours, hostSec,
                  hostSec > 0 ? deviceHours / hostSec : 0.0,
-                 static_cast<unsigned long long>(res.cells),
-                 wl::sweepModeName(cfg.sweep));
+                 static_cast<unsigned long long>(res.cells));
     return 0;
 }

@@ -283,5 +283,15 @@ parseDsmFlag(int &argc, char **argv, os::coherence::ProtocolKind &out)
     return true;
 }
 
+bool
+unknownArgs(int argc, char **argv)
+{
+    if (argc <= 1)
+        return false;
+    std::fprintf(stderr, "%s: unknown argument '%s'\n", argv[0],
+                 argv[1]);
+    return true;
+}
+
 } // namespace wl
 } // namespace k2

@@ -217,6 +217,17 @@ std::string parseStringFlag(int &argc, char **argv, const char *flag,
 bool parseDsmFlag(int &argc, char **argv,
                   os::coherence::ProtocolKind &out);
 
+/**
+ * Report an argument left in argv once every known flag has been
+ * consumed: a misspelt or retired flag must fail the run rather than
+ * be silently ignored.
+ *
+ * @return True, after printing "PROG: unknown argument 'ARG'" for the
+ *         first leftover to stderr, when argv holds more than the
+ *         program name; the caller then exits non-zero.
+ */
+bool unknownArgs(int argc, char **argv);
+
 } // namespace wl
 } // namespace k2
 

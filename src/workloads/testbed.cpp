@@ -2,7 +2,6 @@
 
 #include "obs/metrics.h"
 #include "sim/log.h"
-#include "snap/io.h"
 
 namespace k2 {
 namespace wl {
@@ -63,18 +62,6 @@ Testbed::makeLinux(baseline::LinuxConfig cfg)
     tb.sys_ = std::make_unique<baseline::LinuxSystem>(std::move(cfg));
     tb.attachServices();
     return tb;
-}
-
-void
-Testbed::snapState(snap::Io &io)
-{
-    io.check(k2_ ? 1 : 0, "Testbed::model");
-    sys_->snapState(io);
-    disk_->snapState(io);
-    fs_->snapState(io);
-    dma_->snapState(io);
-    udp_->snapState(io);
-    io.check(proc_->pid(), "Testbed::proc");
 }
 
 void

@@ -50,13 +50,6 @@ class Testbed
      */
     void registerMetrics(obs::MetricsRegistry &reg);
 
-    /**
-     * Capture/restore the full fixture: the system image (engine, SoC,
-     * kernels, OS services) and the four attached service drivers.
-     * Quiesce first (engine().run()).
-     */
-    void snapState(snap::Io &io);
-
   private:
     Testbed() = default;
     void attachServices();

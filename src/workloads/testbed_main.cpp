@@ -4,9 +4,8 @@
  * baseline system and export observability artifacts.
  *
  *   testbed [--system=k2|linux] [--episodes=N] [--runs=N] [--seed=N]
- *           [--jobs=N] [--sweep=warm|cold] [--faults=SPEC]
- *           [--dsm=PROTO] [--replicas=N] [--metrics=FILE]
- *           [--trace=FILE]
+ *           [--jobs=N] [--faults=SPEC] [--dsm=PROTO] [--replicas=N]
+ *           [--metrics=FILE] [--trace=FILE]
  *
  * --faults arms the K2 fault-injection plane with a declarative
  * schedule (e.g. --faults="mailbox.drop:p=1e-3,dma.err:at=2s"); the
@@ -27,12 +26,10 @@
  * service activity) prints to stdout either way.
  *
  * --runs=N repeats the whole episode chain N times, run r seeded with
- * seed+r; the runs are independent sweep cells and execute in parallel
- * under --jobs (metrics/trace artifacts always come from run 0, so
- * they stay byte-identical to a single run). By default each worker
- * boots one testbed and forks the remaining runs from a warm snapshot;
- * --sweep=cold boots per run instead. Both modes produce identical
- * bytes.
+ * seed+r on a freshly booted testbed; the runs are independent sweep
+ * cells and execute in parallel under --jobs (metrics/trace artifacts
+ * always come from run 0, so they stay byte-identical to a single
+ * run).
  */
 
 #include <cstdio>
@@ -50,7 +47,6 @@
 #include "workloads/report.h"
 #include "workloads/sweep.h"
 #include "workloads/testbed.h"
-#include "workloads/warm.h"
 
 namespace {
 
@@ -118,10 +114,12 @@ parseArgs(int argc, char **argv, Options &opt)
         } else {
             std::fprintf(
                 stderr,
+                "testbed: unknown argument '%s'\n"
                 "usage: testbed [--system=k2|linux] [--episodes=N] "
-                "[--runs=N] [--seed=N] [--jobs=N] [--sweep=warm|cold] "
-                "[--faults=SPEC] [--dsm=PROTO] [--replicas=N] "
-                "[--metrics=FILE] [--trace=FILE]\n");
+                "[--runs=N] [--seed=N] [--jobs=N] [--faults=SPEC] "
+                "[--dsm=PROTO] [--replicas=N] [--metrics=FILE] "
+                "[--trace=FILE]\n",
+                arg.c_str());
             return false;
         }
     }
@@ -171,36 +169,20 @@ struct RunOutput
  * --jobs.
  */
 void
-runChain(const Options &opt, k2::wl::SweepMode sweep, int run,
-         RunOutput &out)
+runChain(const Options &opt, int run, RunOutput &out)
 {
     using namespace k2;
 
-    // All runs share one configuration, so under --sweep=warm each
-    // worker boots a single testbed and forks every run from its
-    // snapshot. The tracer enable flags below are snapshotted state,
-    // so run 0's span recording does not leak into sibling runs.
-    // The warm-fixture key embeds the replica degree only when it
-    // differs from the default, so replicas=1 invocations keep the
-    // exact pre-replication key (and hence fixture reuse behaviour).
-    // Likewise the DSM protocol: the key gains a suffix only when it
-    // deviates from the default, keeping pre-zoo keys (and fixture
-    // reuse) for plain invocations.
-    std::string key = "k2:" + opt.faults;
-    if (opt.replicas > 1)
-        key += ":r" + std::to_string(opt.replicas);
-    if (opt.dsm != os::coherence::ProtocolKind::TwoState)
-        key += ":" + std::string(os::coherence::protocolName(opt.dsm));
-    wl::Testbed &tb = opt.k2
-        ? wl::warmK2(sweep, key, [&opt] {
-              os::K2Config cfg;
-              if (!opt.faults.empty())
-                  cfg.faults = fault::FaultPlan::parse(opt.faults);
-              cfg.replicas = static_cast<std::size_t>(opt.replicas);
-              cfg.dsmProtocol = opt.dsm;
-              return cfg;
-          })
-        : wl::warmLinux(sweep, "linux");
+    const auto k2Config = [&opt] {
+        os::K2Config cfg;
+        if (!opt.faults.empty())
+            cfg.faults = fault::FaultPlan::parse(opt.faults);
+        cfg.replicas = static_cast<std::size_t>(opt.replicas);
+        cfg.dsmProtocol = opt.dsm;
+        return cfg;
+    };
+    wl::Testbed tb = opt.k2 ? wl::Testbed::makeK2(k2Config())
+                            : wl::Testbed::makeLinux();
 
     const bool exportArtifacts = run == 0;
     if (exportArtifacts && !opt.traceFile.empty()) {
@@ -265,7 +247,6 @@ main(int argc, char **argv)
     using namespace k2;
 
     const unsigned jobs = wl::parseJobsFlag(argc, argv);
-    const wl::SweepMode sweep = wl::parseSweepFlag(argc, argv);
 
     Options opt;
     bool dsmSet = false;
@@ -300,9 +281,8 @@ main(int argc, char **argv)
     std::vector<RunOutput> outputs(
         static_cast<std::size_t>(opt.runs));
     for (int r = 0; r < opt.runs; ++r) {
-        runner.submit([&opt, &outputs, r, sweep]() {
-            runChain(opt, sweep, r,
-                     outputs[static_cast<std::size_t>(r)]);
+        runner.submit([&opt, &outputs, r]() {
+            runChain(opt, r, outputs[static_cast<std::size_t>(r)]);
         });
     }
     runner.run();

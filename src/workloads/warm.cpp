@@ -1,48 +1,42 @@
 #include "workloads/warm.h"
 
-#include "sim/log.h"
-#include "workloads/sweep.h"
+#include <map>
+#include <memory>
 
 namespace k2 {
 namespace wl {
 
-const char *
-sweepModeName(SweepMode mode)
+namespace {
+
+/** Boot make() into this thread's slot for @p key. */
+template <typename Make>
+Testbed &
+boot(const std::string &key, const Make &make)
 {
-    return mode == SweepMode::Warm ? "warm" : "cold";
+    thread_local std::map<std::string, std::unique_ptr<Testbed>> slots;
+    std::unique_ptr<Testbed> &s = slots[key];
+    s.reset(); // At most one fixture per key is resident.
+    s = std::make_unique<Testbed>(make());
+    return *s;
 }
 
-SweepMode
-parseSweepFlag(int &argc, char **argv, SweepMode fallback)
-{
-    std::string value;
-    if (!consumeFlag(argc, argv, "--sweep=", value))
-        return fallback;
-    if (value == "cold")
-        return SweepMode::Cold;
-    if (value == "warm")
-        return SweepMode::Warm;
-    K2_FATAL("--sweep expects 'cold' or 'warm', got '%s'",
-             value.c_str());
-}
+} // namespace
 
 Testbed &
-warmK2(SweepMode mode, const std::string &key,
+warmK2(SweepMode, const std::string &key,
        const std::function<os::K2Config()> &cfg)
 {
-    return warmFixture<Testbed>(mode, key, [&cfg] {
-        return std::make_unique<Testbed>(
-            cfg ? Testbed::makeK2(cfg()) : Testbed::makeK2());
+    return boot(key, [&cfg] {
+        return cfg ? Testbed::makeK2(cfg()) : Testbed::makeK2();
     });
 }
 
 Testbed &
-warmLinux(SweepMode mode, const std::string &key,
+warmLinux(SweepMode, const std::string &key,
           const std::function<baseline::LinuxConfig()> &cfg)
 {
-    return warmFixture<Testbed>(mode, key, [&cfg] {
-        return std::make_unique<Testbed>(
-            cfg ? Testbed::makeLinux(cfg()) : Testbed::makeLinux());
+    return boot(key, [&cfg] {
+        return cfg ? Testbed::makeLinux(cfg()) : Testbed::makeLinux();
     });
 }
 

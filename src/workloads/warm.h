@@ -1,116 +1,46 @@
 /**
  * @file
- * Boot-once sweep mode: warm-fixture pool over snap::Snapshot.
+ * Per-thread fixture slots for callers written against the retired
+ * boot-once sweep mode.
  *
- * Sweep binaries spend most of their wall-clock booting identical
- * systems: every cell builds a Testbed (two kernel boots, DSM region
- * setup, mkfs on a 64 MB ramdisk) only to run a millisecond-scale
- * episode on it. warmFixture() removes that cost: the first cell per
- * (configuration key, host thread) builds the fixture, quiesces it,
- * and captures a snap::Snapshot; every later cell with the same key
- * rewinds the pooled instance to that image instead of rebooting.
- *
- * Correctness invariant: a restored fixture is byte-identical to a
- * freshly booted one (the snapshot layer rewrites *all* semantic
- * state -- clock, RNG streams, allocator free lists, tracer cursors,
- * service state, disk blocks), so per-cell artifacts are unchanged
- * between `--sweep=warm` and `--sweep=cold` at any `--jobs=N`.
- * tests/snap_test.cpp and scripts/check.sh enforce this.
- *
- * The pool is thread_local: SweepRunner worker threads never share a
- * fixture, cells on one thread run serially, and masters are destroyed
- * at thread exit.
+ * Every fixture is a cold boot: booting a testbed costs no more than
+ * rewinding a pooled one did (the ramdisk and the page metadata are
+ * allocated as they are first used, DESIGN.md §10), so there is no
+ * warm path left. SweepMode and these two functions remain because
+ * external callers (the perfbench package) provision through them;
+ * both modes boot a fresh fixture.
  */
 
 #ifndef K2_WORKLOADS_WARM_H
 #define K2_WORKLOADS_WARM_H
 
 #include <functional>
-#include <map>
-#include <memory>
 #include <string>
 
-#include "snap/snapshot.h"
 #include "workloads/testbed.h"
 
 namespace k2 {
 namespace wl {
 
-/** How a sweep binary provisions per-cell fixtures. */
+/** How a caller asked for its fixture. Both values boot cold. */
 enum class SweepMode
 {
-    Cold, //!< Boot a fresh fixture for every cell (legacy behaviour).
-    Warm, //!< Boot once per (key, thread), fork from a snapshot after.
+    Cold,
+    Warm,
 };
 
-/** Human-readable mode name for banners. */
-const char *sweepModeName(SweepMode mode);
-
 /**
- * Parse and strip a leading `--sweep=cold|warm` flag from argv.
+ * Boot a fresh K2 testbed into this thread's slot for @p key. A null
+ * @p cfg means the default K2Config.
  *
- * @param fallback Returned when the flag is absent. Sweep binaries
- *        default to Warm; pass Cold for tools where reproducing the
- *        historical boot-per-cell timing matters.
- */
-SweepMode parseSweepFlag(int &argc, char **argv,
-                         SweepMode fallback = SweepMode::Warm);
-
-/**
- * Provision a fixture for one sweep cell.
- *
- * @tparam T Fixture type exposing `sim::Engine &engine()` and
- *         `void snapState(snap::Io &)` -- e.g. wl::Testbed.
- * @param mode Warm forks from the pooled snapshot; Cold rebuilds.
- * @param key Configuration identity: cells whose @p make produces an
- *        identical fixture must agree on the key, cells with different
- *        configurations must not collide.
- * @param make Factory for a cold fixture. Called on the first warm use
- *        of @p key per thread, and on every cold call.
- * @return A quiesced fixture in the post-boot state. Valid until the
- *         next warmFixture() call with the same key on this thread.
- */
-template <typename T>
-T &
-warmFixture(SweepMode mode, const std::string &key,
-            const std::function<std::unique_ptr<T>()> &make)
-{
-    struct Entry
-    {
-        std::unique_ptr<T> master;
-        snap::Snapshot image;
-    };
-    thread_local std::map<std::string, Entry> pool;
-
-    Entry &e = pool[key];
-    if (mode == SweepMode::Cold) {
-        // Rebuild from scratch; reusing the slot just bounds the pool.
-        // The image is dropped too: a cold master is dirty after its
-        // cell runs, so it must never seed a later warm fork.
-        e.image = snap::Snapshot();
-        e.master = make();
-        e.master->engine().run();
-        return *e.master;
-    }
-    if (e.image.empty()) {
-        e.master = make();
-        e.master->engine().run(); // Quiesce before capture.
-        e.image = snap::Snapshot::of(*e.master);
-    } else {
-        e.image.restore(*e.master);
-    }
-    return *e.master;
-}
-
-/**
- * Pool a K2 testbed under @p key. Cells whose @p cfg produces a
- * different configuration must use a different key. A null @p cfg
- * means the default K2Config.
+ * @return The quiesced post-boot testbed. Valid until the next call
+ *         with the same key on this thread.
  */
 Testbed &warmK2(SweepMode mode, const std::string &key,
                 const std::function<os::K2Config()> &cfg = {});
 
-/** Pool a baseline-Linux testbed under @p key. */
+/** Boot a fresh baseline-Linux testbed into this thread's slot for
+ *  @p key (see warmK2). */
 Testbed &warmLinux(SweepMode mode, const std::string &key,
                    const std::function<baseline::LinuxConfig()> &cfg = {});
 

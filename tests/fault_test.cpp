@@ -102,6 +102,26 @@ TEST(FaultPlan, RejectionsCarryCharPositions)
     rejectAt("mailbox.drop:p=1e-3,irq.lost:line=x", "at char 34");
 }
 
+/** A plan that makes progress impossible is rejected up front, with
+ *  an error naming the spec, instead of livelocking the run. */
+TEST(FaultPlan, RejectsCertainIrqLoss)
+{
+    for (const char *spec : {"irq.lost:p=1", "irq.lost:p=1.0",
+                             "mailbox.drop:p=1e-3,irq.lost:line=7:p=1"}) {
+        try {
+            (void)fault::FaultPlan::parse(spec);
+            ADD_FAILURE() << "spec '" << spec << "' parsed";
+        } catch (const sim::FatalError &e) {
+            EXPECT_NE(std::string(e.what()).find("irq.lost:p=1 "),
+                      std::string::npos)
+                << "spec '" << spec << "' error: " << e.what();
+        }
+    }
+    // Anything short of certain loss still parses (and terminates).
+    EXPECT_EQ(fault::FaultPlan::parse("irq.lost:p=0.99").specs().size(),
+              1u);
+}
+
 /** The accept path is unchanged by the hardening. */
 TEST(FaultPlan, AcceptsSpecsWithAllKeys)
 {

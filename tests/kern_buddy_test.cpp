@@ -169,6 +169,33 @@ TEST_F(BuddyTest, MovablePagesInCountsCorrectly)
     EXPECT_EQ(buddy.movablePagesIn(PageRange{0, kBlock}), 0u);
 }
 
+TEST(BuddySections, AllocatedWhenFirstOwned)
+{
+    // A 64-block window that owns two blocks has metadata for two.
+    BuddyAllocator b("sparse", 0, 64 * kBlock);
+    for (std::uint64_t s = 0; s < 64; ++s)
+        EXPECT_FALSE(b.hasSection(s * kBlock));
+    b.checkInvariants();
+    b.addFreeRange(PageRange{5 * kBlock, kBlock});
+    b.addFreeRange(PageRange{40 * kBlock + 100, 200}); // Part of one.
+    for (std::uint64_t s = 0; s < 64; ++s)
+        EXPECT_EQ(b.hasSection(s * kBlock), s == 5 || s == 40) << s;
+    b.checkInvariants();
+
+    // Allocations and a reclaim keep the sparse metadata consistent,
+    // and a reclaimed range reads as unowned again: it can be donated
+    // back.
+    auto r = b.alloc(3, Migrate::Movable);
+    ASSERT_TRUE(r.has_value());
+    b.checkInvariants();
+    ASSERT_TRUE(b.reclaimRange(PageRange{5 * kBlock, kBlock}).ok);
+    EXPECT_EQ(b.freePages() + b.allocatedPages(), 200u);
+    b.checkInvariants();
+    b.addFreeRange(PageRange{5 * kBlock, kBlock});
+    EXPECT_EQ(b.ownedPages(), kBlock + 200);
+    b.checkInvariants();
+}
+
 TEST(BuddyConfig, UnalignedBaseIsFatal)
 {
     EXPECT_THROW(BuddyAllocator("bad", 17, 4096), sim::FatalError);

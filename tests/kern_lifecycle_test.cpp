@@ -7,8 +7,7 @@
  * post-boot size however many short-lived threads run. The NightWatch
  * count is the exception by design: it counts every NightWatch thread
  * ever added to a process, exited ones included, because the §8
- * gating decision reads it. Snapshots capture only live threads, so a
- * capture/restore round trip still holds after many reaped threads.
+ * gating decision reads it.
  */
 
 #include <gtest/gtest.h>
@@ -17,7 +16,6 @@
 #include <vector>
 
 #include "os/k2_system.h"
-#include "snap/snapshot.h"
 #include "workloads/benchmarks.h"
 #include "workloads/episode.h"
 #include "workloads/testbed.h"
@@ -106,32 +104,6 @@ TEST(ThreadLifecycle, DsmWriteFaultsKeepTablesAtBootSize)
     EXPECT_EQ(tableSizes(sys, proc), boot);
     EXPECT_EQ(proc.numNightWatch(), static_cast<std::size_t>(kFaults / 2));
     EXPECT_GT(sys.nightWatch().suspendsSent.value(), 0u);
-}
-
-TEST(ThreadLifecycle, SnapshotRoundTripsAfterManyReapedThreads)
-{
-    auto tb = wl::Testbed::makeK2();
-    for (int i = 0; i < 300; ++i)
-        mixedEpisode(tb, i);
-    const snap::Snapshot image = snap::Snapshot::of(tb);
-    const std::size_t nwAtCapture = tb.proc().numNightWatch();
-    const auto atCapture = tableSizes(tb.sys(), tb.proc());
-
-    // Many more threads run and are freed after the capture; restore
-    // rewinds the NightWatch count and finds the same live tables.
-    const wl::EpisodeResult first = mixedEpisode(tb, 300);
-    for (int i = 301; i < 800; ++i)
-        mixedEpisode(tb, i);
-    image.restore(tb);
-    EXPECT_EQ(tb.proc().numNightWatch(), nwAtCapture);
-    EXPECT_EQ(tableSizes(tb.sys(), tb.proc()), atCapture);
-    EXPECT_TRUE(snap::Snapshot::of(tb) == image);
-
-    // The fork replays the first post-capture episode bit-identically.
-    const wl::EpisodeResult again = mixedEpisode(tb, 300);
-    EXPECT_EQ(again.bytes, first.bytes);
-    EXPECT_EQ(again.runTime, first.runTime);
-    EXPECT_EQ(again.energyUj, first.energyUj);
 }
 
 TEST(ThreadLifecycle, NightWatchCountIsStickyAcrossExit)

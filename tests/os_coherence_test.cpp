@@ -4,11 +4,11 @@
  * (os/coherence/): every registered protocol must uphold the same
  * contracts at every domain count -- one writer at a time,
  * read-your-writes, completion of every access under seeded fuzz with
- * shadow-data verification, crash reclaim, deterministic replay, and
- * snapshot roundtrip. Each contract runs on the two-domain pair
+ * shadow-data verification, crash reclaim, and deterministic replay
+ * across cold boots. Each contract runs on the two-domain pair
  * (PairConformanceTest) and on three domains (NdsmConformanceTest) of a
  * bare DSM rig; SystemConformanceTest runs the DSM inside a whole
- * K2System, through its mail dispatch, metrics and snapshots.
+ * K2System, through its mail dispatch and metrics.
  */
 
 #include <gtest/gtest.h>
@@ -21,7 +21,6 @@
 #include "os/coherence/protocol.h"
 #include "os/k2_system.h"
 #include "sim/random.h"
-#include "snap/snapshot.h"
 #include "workloads/dsm_rig.h"
 
 namespace k2::os {
@@ -249,38 +248,38 @@ CONFORMANCE_TEST(ReclaimMovesOwnershipToSurvivor)
     EXPECT_EQ(dsm.ownerOf(4), n - 1);
 }
 
-CONFORMANCE_TEST(SnapshotRoundtripReplaysIdentically)
+CONFORMANCE_TEST(ColdBootReplaysIdentically)
 {
-    // Warm up with a little traffic so protocol state (sharer
-    // bitmaps, logs, vector clocks) is non-trivial at capture.
-    fx.touch(1, 2, Access::Write);
-    fx.touch(n - 1, 2, Access::Read);
-
-    auto replay = [&fx, n] {
+    // Two freshly booted rigs run the same traffic; protocol state,
+    // statistics and clocks must agree bit for bit.
+    auto run = [n](wl::DsmRig &rig) {
+        rig.touch(1, 2, Access::Write);
+        rig.touch(n - 1, 2, Access::Read);
         for (std::size_t r = 0; r < 12; ++r) {
-            fx.touch(r % n, r % 4,
-                     r % 3 == 0 ? Access::Read : Access::Write);
+            rig.touch(r % n, r % 4,
+                      r % 3 == 0 ? Access::Read : Access::Write);
         }
+        obs::MetricsRegistry reg;
+        rig.dsm->registerMetrics(reg, "os.dsm");
+        std::string out = reg.snapshot().toJson();
+        for (std::uint64_t page = 0; page < 4; ++page)
+            out += " " + std::to_string(rig.dsm->ownerOf(page));
+        return out + "@" + std::to_string(rig.eng.now());
     };
-
-    const snap::Snapshot base = snap::Snapshot::of(fx);
-    replay();
-    const snap::Snapshot first = snap::Snapshot::of(fx);
-    base.restore(fx);
-    EXPECT_EQ(base, snap::Snapshot::of(fx));
-    replay();
-    // Restored state replays to bit-identical protocol state,
-    // statistics, clocks, and RNG streams.
-    EXPECT_EQ(first, snap::Snapshot::of(fx));
+    wl::DsmRig twin(n, proto, 64);
+    EXPECT_EQ(run(fx), run(twin));
 }
 
 /** The two-domain DSM inside a whole K2System under one zoo protocol:
  *  its mail arrives through the system's dispatcher, and it is part of
- *  the system's metrics and snapshots. */
+ *  the system's metrics. */
 class SystemConformanceTest : public ::testing::TestWithParam<ProtocolKind>
 {
   protected:
-    SystemConformanceTest()
+    SystemConformanceTest() { boot(); }
+
+    void
+    boot()
     {
         K2Config cfg;
         cfg.soc.costs.inactiveTimeout = 0;
@@ -333,25 +332,23 @@ TEST_P(SystemConformanceTest, OneWriterInvariantUnderPingPong)
     }
 }
 
-TEST_P(SystemConformanceTest, SnapshotRoundtripReplaysIdentically)
+TEST_P(SystemConformanceTest, ColdBootReplaysIdentically)
 {
-    touch(1, 2, Access::Write);
-    touch(0, 2, Access::Read);
-
-    auto replay = [this] {
+    auto run = [this] {
+        touch(1, 2, Access::Write);
+        touch(0, 2, Access::Read);
         for (std::size_t r = 0; r < 10; ++r) {
             touch(r % 2, r % 3,
                   r % 4 == 0 ? Access::Read : Access::Write);
         }
+        obs::MetricsRegistry reg;
+        k2sys->registerMetrics(reg);
+        return reg.snapshot().toJson() + "@" +
+               std::to_string(k2sys->engine().now());
     };
-
-    const snap::Snapshot base = snap::Snapshot::of(*k2sys);
-    replay();
-    const snap::Snapshot first = snap::Snapshot::of(*k2sys);
-    base.restore(*k2sys);
-    EXPECT_EQ(base, snap::Snapshot::of(*k2sys));
-    replay();
-    EXPECT_EQ(first, snap::Snapshot::of(*k2sys));
+    const std::string first = run();
+    boot();
+    EXPECT_EQ(first, run());
 }
 
 std::string

@@ -9,7 +9,7 @@
  * window, double-crash before the first recovery completes, a seeded
  * fuzz of crash times across replication degrees with ext2 + UDP data
  * verification, and byte-identical sweep cells across job counts and
- * warm/cold fixture modes at --replicas=3.
+ * repeated cold boots at --replicas=3.
  */
 
 #include <gtest/gtest.h>
@@ -25,7 +25,6 @@
 #include "sim/log.h"
 #include "workloads/sweep.h"
 #include "workloads/testbed.h"
-#include "workloads/warm.h"
 
 namespace k2 {
 namespace {
@@ -599,9 +598,9 @@ TEST(ReplicaSweep, ByteIdenticalAcrossJobCounts)
     }
 }
 
-/** One warm-forked cell must equal a cold-booted one byte for byte,
- *  including the replica-protocol counters. */
-TEST(ReplicaSweep, WarmForkEqualsColdBoot)
+/** Repeated cold boots of one cell agree byte for byte, including
+ *  the replica-protocol counters. */
+TEST(ReplicaSweep, RepeatedColdBootsAreIdentical)
 {
     const auto makeCfg = []() {
         os::K2Config cfg;
@@ -614,9 +613,8 @@ TEST(ReplicaSweep, WarmForkEqualsColdBoot)
         cfg.faults.add(crash);
         return cfg;
     };
-    const auto runCell = [&](wl::SweepMode mode) {
-        wl::Testbed &tb =
-            wl::warmK2(mode, "os_replica_test:r3crash", makeCfg);
+    const auto runCell = [&]() {
+        wl::Testbed tb = wl::Testbed::makeK2(makeCfg());
         obs::MetricsRegistry reg;
         tb.registerMetrics(reg);
         const auto data = pattern(8192, 17);
@@ -632,12 +630,10 @@ TEST(ReplicaSweep, WarmForkEqualsColdBoot)
                std::to_string(tb.engine().now());
     };
 
-    const std::string cold = runCell(wl::SweepMode::Cold);
-    const std::string warm1 = runCell(wl::SweepMode::Warm);
-    const std::string warm2 = runCell(wl::SweepMode::Warm);
-    EXPECT_EQ(cold, warm1);
-    EXPECT_EQ(warm1, warm2);
-    EXPECT_NE(cold.find("os.replica."), std::string::npos);
+    const std::string first = runCell();
+    EXPECT_EQ(first, runCell());
+    EXPECT_EQ(first, runCell());
+    EXPECT_NE(first.find("os.replica."), std::string::npos);
 }
 
 } // namespace

@@ -86,6 +86,34 @@ TEST_F(SdTest, SdIoBlocksInsteadOfBurningCpu)
     });
 }
 
+TEST_F(SdTest, RamDiskAllocatesOnlyWrittenBlocks)
+{
+    RamDisk ram(4096, 16384); // 64 MB, the testbed's disk
+    EXPECT_EQ(ram.allocatedBlocks(), 0u);
+    run([&](Thread &t) -> Task<void> {
+        std::vector<std::uint8_t> a(4096, 0xA5);
+        std::vector<std::uint8_t> b(4096, 0x3C);
+        co_await ram.write(t, 7, a);
+        co_await ram.write(t, 16383, b);
+        co_await ram.write(t, 7, b); // Rewrite: no new block.
+        std::vector<std::uint8_t> back(4096, 0xFF);
+        co_await ram.read(t, 7, back);
+        EXPECT_EQ(back, b);
+        co_await ram.read(t, 16383, back);
+        EXPECT_EQ(back, b);
+        // Never-written blocks, including the neighbours of written
+        // ones, read back as zeroes and allocate nothing.
+        for (const std::uint64_t blk : {0ull, 6ull, 8ull, 16382ull}) {
+            std::fill(back.begin(), back.end(), 0xFF);
+            co_await ram.read(t, blk, back);
+            EXPECT_EQ(back, std::vector<std::uint8_t>(4096, 0));
+        }
+    });
+    EXPECT_EQ(ram.allocatedBlocks(), 2u);
+    EXPECT_EQ(ram.writes.value(), 3u);
+    EXPECT_EQ(ram.reads.value(), 6u);
+}
+
 TEST_F(SdTest, CacheHitAvoidsTheDevice)
 {
     SdCard sd(4096, 64);

@@ -3,8 +3,7 @@
  * Fleet workload tests: the seeded device-model generator is
  * shard-independent, FleetStats partials fold exactly, and the
  * headline guarantee holds -- the rendered fleet report and JSON
- * artifact are byte-identical at any jobs count and in both sweep
- * modes.
+ * artifact are byte-identical at any jobs count.
  */
 
 #include <gtest/gtest.h>
@@ -91,10 +90,10 @@ TEST(FleetStats, ShardedSynthesisFoldsExactly)
         EXPECT_TRUE(folded.kindEnergyUj[k] == whole.kindEnergyUj[k]);
 }
 
-TEST(Fleet, ByteIdenticalAtAnyJobsAndSweepMode)
+TEST(Fleet, ByteIdenticalAtAnyJobs)
 {
     // The headline determinism contract: same config => byte-identical
-    // text report and JSON artifact at jobs 1/4/13 and warm vs cold.
+    // text report and JSON artifact at jobs 1/4/13.
     sim::ScopedLogConfig quiet(sim::LogLevel::Quiet);
     wl::FleetConfig cfg;
     cfg.devices = 300; // 3 cells of 128 -- exercises sharding
@@ -118,12 +117,6 @@ TEST(Fleet, ByteIdenticalAtAnyJobsAndSweepMode)
     EXPECT_EQ(serial.text, par13.text);
     EXPECT_EQ(serial.json, par13.json);
 
-    cfg.jobs = 4;
-    cfg.sweep = wl::SweepMode::Cold;
-    const wl::FleetResult cold = wl::runFleet(cfg);
-    EXPECT_EQ(serial.text, cold.text);
-    EXPECT_EQ(serial.json, cold.json);
-
     // The artifacts carry the expected sketch series and tails.
     for (const char *needle :
          {"\"fleet.episode.energy_uj\"", "\"fleet.episode.latency_us\"",
@@ -140,32 +133,26 @@ TEST(Fleet, ByteIdenticalAtAnyJobsAndSweepMode)
 TEST(FleetCalibration, MemoizedEqualsFreshBitForBit)
 {
     // calibrationFor's contract: the cached model is bit-identical to
-    // measuring a freshly provisioned fixture, in both sweep modes
-    // (the snapshot layer's warm==cold guarantee transfers to the
-    // calibration numbers).
+    // measuring a freshly booted fixture.
     sim::ScopedLogConfig quiet(sim::LogLevel::Quiet);
     const std::string key = "fleet-test:memo";
 
-    const wl::Calibration &cached =
-        wl::calibrationFor(wl::SweepMode::Warm, key);
-    const wl::Calibration &again =
-        wl::calibrationFor(wl::SweepMode::Warm, key);
+    const wl::Calibration &cached = wl::calibrationFor(key);
+    const wl::Calibration &again = wl::calibrationFor(key);
     EXPECT_EQ(&cached, &again); // hit: same entry, no re-measure
 
-    // Reference: measure an independently restored fixture.
-    const wl::Calibration fresh =
-        wl::calibrate(wl::warmK2(wl::SweepMode::Warm, key));
+    // Reference: measure an independently booted fixture.
+    wl::Testbed tb = wl::Testbed::makeK2();
+    const wl::Calibration fresh = wl::calibrate(tb);
     EXPECT_TRUE(cached == fresh);
     // And measuring is itself reproducible fixture-to-fixture.
-    EXPECT_TRUE(wl::calibrate(wl::warmK2(wl::SweepMode::Warm, key)) ==
-                fresh);
+    wl::Testbed tb2 = wl::Testbed::makeK2();
+    EXPECT_TRUE(wl::calibrate(tb2) == fresh);
 
-    // Cold mode boots its own master, measures the same numbers, and
-    // caches under a distinct entry.
-    const wl::Calibration &cold =
-        wl::calibrationFor(wl::SweepMode::Cold, key);
-    EXPECT_NE(&cold, &cached);
-    EXPECT_TRUE(cold == cached);
+    // The SweepMode overload is keyed on the config alone: both modes
+    // hit the same entry.
+    EXPECT_EQ(&wl::calibrationFor(wl::SweepMode::Warm, key), &cached);
+    EXPECT_EQ(&wl::calibrationFor(wl::SweepMode::Cold, key), &cached);
 
     // Sanity: the measured models are physically plausible.
     for (const wl::EpisodeModel &m : cached.kinds) {
